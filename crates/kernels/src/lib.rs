@@ -29,11 +29,16 @@
 //! recomputation. Kernels honour an explicit thread count and capture
 //! per-thread busy times — the measurement behind the paper's `P_IMB`
 //! bound — timed around pure compute only.
+//!
+//! [`dense`] runs the solvers' vector passes (dots, axpys, fused
+//! Krylov updates) on the same team, in fixed chunks whose
+//! reductions are bitwise independent of the thread count.
 
 pub mod baseline;
 pub mod blocked;
 pub mod compressed;
 pub mod decomposed;
+pub mod dense;
 pub mod engine;
 pub mod micro;
 pub mod prefetch;

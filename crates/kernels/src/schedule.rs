@@ -110,7 +110,8 @@ impl ThreadTimes {
 ///
 /// # Safety contract
 /// Workers obtained from a [`Plan`] (or [`execute`]) receive disjoint
-/// row ranges, so every `y[i]` is written by exactly one worker. The
+/// row ranges, and a [`crate::dense`] pass hands each chunk to exactly
+/// one worker, so every `y[i]` is written by exactly one worker. The
 /// pointer is only dereferenced while the engine's dispatching caller
 /// is blocked inside the run — which is exactly the window during
 /// which the exclusive borrow of `y` is alive. Pool workers never

@@ -1,8 +1,13 @@
 //! BiCGSTAB for general (non-symmetric) systems.
+//!
+//! Every vector pass runs on the engine team through
+//! `spmv_kernels::dense`; the end-of-iteration update of `x` and `r`
+//! also forms `r·r` and the next `r̂₀·r`.
+
+use spmv_kernels::dense::{dot_chunk, Passes};
 
 use crate::jacobi::Jacobi;
 use crate::op::{LinOp, SolveStats};
-use crate::vecops::{axpy, dot, norm2, sub_into};
 
 /// Solves `A x = b` with BiCGSTAB from initial guess `x` (overwritten
 /// with the solution).
@@ -22,72 +27,93 @@ pub fn bicgstab(
     assert_eq!(b.len(), n, "b length");
     assert_eq!(x.len(), n, "x length");
 
-    let bnorm = norm2(b).max(f64::MIN_POSITIVE);
+    let mut vp = Passes::new(n);
+    let bnorm = vp.norm2("bicgstab.dot", b).max(f64::MIN_POSITIVE);
     let mut r = vec![0.0; n];
-    let mut ax = vec![0.0; n];
-    a.apply(x, &mut ax);
-    sub_into(b, &ax, &mut r);
-    let r0 = r.clone();
+    let mut r0 = vec![0.0; n];
+    a.apply(x, &mut r);
+    // r = b − Ax, r̂₀ = r.
+    let [rr] = vp.pass("bicgstab.update", [&mut r, &mut r0], [b], |[r, r0], [b]| {
+        for ((ri, r0i), bi) in r.iter_mut().zip(r0.iter_mut()).zip(b) {
+            *ri = bi - *ri;
+            *r0i = *ri;
+        }
+        [dot_chunk(r, r)]
+    });
 
     let mut history = Vec::new();
-    let mut residual = norm2(&r) / bnorm;
+    let mut residual = rr.sqrt() / bnorm;
     if residual <= tol {
         return SolveStats { iterations: 0, residual, converged: true, history };
     }
 
     let mut rho = 1.0f64;
+    let mut rho_new = rr; // r̂₀·r, with r̂₀ = r
     let mut alpha = 1.0f64;
     let mut omega = 1.0f64;
     let mut p = vec![0.0; n];
     let mut v = vec![0.0; n];
     let mut s = vec![0.0; n];
     let mut t = vec![0.0; n];
-    let mut phat = vec![0.0; n];
-    let mut shat = vec![0.0; n];
-
-    let prec = |src: &[f64], dst: &mut [f64]| match precond {
-        Some(m) => m.apply(src, dst),
-        None => dst.copy_from_slice(src),
-    };
+    let d = precond.map(Jacobi::inv_diag);
+    // `M⁻¹p` and `M⁻¹s`; without a preconditioner they are `p` and `s`.
+    let mut phat = d.map(|_| vec![0.0; n]);
+    let mut shat = d.map(|_| vec![0.0; n]);
 
     for it in 1..=max_iter {
-        let rho_new = dot(&r0, &r);
         if rho_new.abs() < f64::MIN_POSITIVE {
             return SolveStats { iterations: it - 1, residual, converged: false, history };
         }
         let beta = (rho_new / rho) * (alpha / omega);
         rho = rho_new;
-        // p = r + beta * (p - omega * v)
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        prec(&p, &mut phat);
-        a.apply(&phat, &mut v);
-        alpha = rho / dot(&r0, &v);
-        // s = r - alpha * v
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        let snorm = norm2(&s) / bnorm;
+        vp.pass("bicgstab.direction", [&mut p], [&r, &v], |[p], [r, v]| {
+            for ((pi, ri), vi) in p.iter_mut().zip(r).zip(v) {
+                *pi = ri + beta * (*pi - omega * vi);
+            }
+            []
+        });
+        let ph = precondition(&mut vp, d, &p, &mut phat);
+        a.apply(ph, &mut v);
+        alpha = rho / vp.dot("bicgstab.dot", &r0, &v);
+        // s = r − αv
+        let [ss] = vp.pass("bicgstab.update", [&mut s], [&r, &v], |[s], [r, v]| {
+            for ((si, ri), vi) in s.iter_mut().zip(r).zip(v) {
+                *si = ri - alpha * vi;
+            }
+            [dot_chunk(s, s)]
+        });
+        let snorm = ss.sqrt() / bnorm;
         if snorm <= tol {
-            axpy(alpha, &phat, x);
+            vp.axpy("bicgstab.update", alpha, ph, x);
             history.push(snorm);
             return SolveStats { iterations: it, residual: snorm, converged: true, history };
         }
-        prec(&s, &mut shat);
-        a.apply(&shat, &mut t);
-        let tt = dot(&t, &t);
+        let sh = precondition(&mut vp, d, &s, &mut shat);
+        a.apply(sh, &mut t);
+        let [tt, ts] =
+            vp.pass("bicgstab.dot", [], [&t, &s], |[], [t, s]| [dot_chunk(t, t), dot_chunk(t, s)]);
         if tt.abs() < f64::MIN_POSITIVE {
             return SolveStats { iterations: it - 1, residual, converged: false, history };
         }
-        omega = dot(&t, &s) / tt;
-        axpy(alpha, &phat, x);
-        axpy(omega, &shat, x);
-        // r = s - omega * t
-        for i in 0..n {
-            r[i] = s[i] - omega * t[i];
-        }
-        residual = norm2(&r) / bnorm;
+        omega = ts / tt;
+        // x += αp̂ + ωŝ, r = s − ωt
+        let [rr, r0r] = vp.pass(
+            "bicgstab.update",
+            [&mut *x, &mut r],
+            [ph, sh, &s, &t, &r0],
+            |[x, r], [ph, sh, s, t, r0]| {
+                for ((xi, phi), shi) in x.iter_mut().zip(ph).zip(sh) {
+                    *xi += alpha * phi;
+                    *xi += omega * shi;
+                }
+                for ((ri, si), ti) in r.iter_mut().zip(s).zip(t) {
+                    *ri = si - omega * ti;
+                }
+                [dot_chunk(r, r), dot_chunk(r0, r)]
+            },
+        );
+        rho_new = r0r;
+        residual = rr.sqrt() / bnorm;
         history.push(residual);
         if residual <= tol {
             return SolveStats { iterations: it, residual, converged: true, history };
@@ -97,6 +123,24 @@ pub fn bicgstab(
         }
     }
     SolveStats { iterations: max_iter, residual, converged: false, history }
+}
+
+/// `M⁻¹ src`: written to `dst` when there is a preconditioner
+/// diagonal `d`, otherwise `src` itself.
+fn precondition<'a>(
+    vp: &mut Passes,
+    d: Option<&[f64]>,
+    src: &'a [f64],
+    dst: &'a mut Option<Vec<f64>>,
+) -> &'a [f64] {
+    let (Some(d), Some(dst)) = (d, dst) else { return src };
+    vp.pass("bicgstab.precond", [&mut dst[..]], [src, d], |[z], [r, d]| {
+        for ((zi, ri), di) in z.iter_mut().zip(r).zip(d) {
+            *zi = ri * di;
+        }
+        []
+    });
+    dst
 }
 
 #[cfg(test)]

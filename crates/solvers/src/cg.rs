@@ -1,8 +1,22 @@
 //! (Preconditioned) Conjugate Gradient for SPD systems.
+//!
+//! After each `apply`, an iteration makes three passes over the
+//! vectors, each on the engine team in chunks whose reductions are
+//! bitwise independent of the thread count (`spmv_kernels::dense`):
+//!
+//! * (A) `p·Ap` — label `cg.dot`;
+//! * (B) `x += αp`, `r −= αAp` and `r·r`, with `z = M⁻¹r` and `r·z`
+//!   fused in when a Jacobi preconditioner is given — `cg.update`;
+//! * (C) `p = z + βp` — `cg.direction`.
+//!
+//! Without a preconditioner `z` is `r` itself: no copy, no second
+//! dot, no `z` vector. The initial residual `b − Ax` is formed in `r`
+//! by applying into it, so no `Ax` scratch exists either.
+
+use spmv_kernels::dense::{dot_chunk, Passes};
 
 use crate::jacobi::Jacobi;
 use crate::op::{LinOp, SolveStats};
-use crate::vecops::{axpy, dot, norm2, sub_into, xpby};
 
 /// Solves `A x = b` with CG, starting from `x` (used as the initial
 /// guess and overwritten with the solution).
@@ -25,24 +39,49 @@ pub fn cg(
     assert_eq!(a.ncols(), n, "CG needs a square operator");
     assert_eq!(b.len(), n, "b length");
     assert_eq!(x.len(), n, "x length");
+    solve(&mut Passes::new(n), a, b, x, precond, tol, max_iter)
+}
 
-    let bnorm = norm2(b).max(f64::MIN_POSITIVE);
+/// [`cg`] with its vector passes on `vp`.
+fn solve(
+    vp: &mut Passes,
+    a: &impl LinOp,
+    b: &[f64],
+    x: &mut [f64],
+    precond: Option<&Jacobi>,
+    tol: f64,
+    max_iter: usize,
+) -> SolveStats {
+    let n = b.len();
+    let bnorm = vp.norm2("cg.dot", b).max(f64::MIN_POSITIVE);
+    // The preconditioner's inverse diagonal and its `z = M⁻¹r`.
+    let mut pre = precond.map(|m| (m.inv_diag(), vec![0.0; n]));
     let mut r = vec![0.0; n];
-    let mut ax = vec![0.0; n];
-    a.apply(x, &mut ax);
-    sub_into(b, &ax, &mut r);
-
-    let mut z = vec![0.0; n];
-    let apply_precond = |r: &[f64], z: &mut Vec<f64>| match precond {
-        Some(m) => m.apply(r, z),
-        None => z.copy_from_slice(r),
+    let mut p = vec![0.0; n];
+    a.apply(x, &mut r);
+    // r = b − Ax, z = M⁻¹r, p = z.
+    let [rr, mut rz] = match &mut pre {
+        Some((d, z)) => vp.pass("cg.update", [&mut r, z, &mut p], [b, d], |[r, z, p], [b, d]| {
+            for (ri, bi) in r.iter_mut().zip(b) {
+                *ri = bi - *ri;
+            }
+            for (((zi, pi), ri), di) in z.iter_mut().zip(p.iter_mut()).zip(&*r).zip(d) {
+                *zi = ri * di;
+                *pi = *zi;
+            }
+            [dot_chunk(r, r), dot_chunk(r, z)]
+        }),
+        None => vp.pass("cg.update", [&mut r, &mut p], [b], |[r, p], [b]| {
+            for ((ri, pi), bi) in r.iter_mut().zip(p.iter_mut()).zip(b) {
+                *ri = bi - *ri;
+                *pi = *ri;
+            }
+            let rr = dot_chunk(r, r);
+            [rr, rr]
+        }),
     };
-    apply_precond(&r, &mut z);
-
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
     let mut history = Vec::new();
-    let mut residual = norm2(&r) / bnorm;
+    let mut residual = rr.sqrt() / bnorm;
     if residual <= tol {
         return SolveStats { iterations: 0, residual, converged: true, history };
     }
@@ -50,24 +89,50 @@ pub fn cg(
     let mut ap = vec![0.0; n];
     for it in 1..=max_iter {
         a.apply(&p, &mut ap);
-        let pap = dot(&p, &ap);
+        let pap = vp.dot("cg.dot", &p, &ap);
         if pap <= 0.0 {
             // Not SPD (or breakdown): stop with what we have.
             return SolveStats { iterations: it - 1, residual, converged: false, history };
         }
         let alpha = rz / pap;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        residual = norm2(&r) / bnorm;
+        let step = |x: &mut [f64], r: &mut [f64], p: &[f64], ap: &[f64]| {
+            for (xi, pi) in x.iter_mut().zip(p) {
+                *xi += alpha * pi;
+            }
+            for (ri, api) in r.iter_mut().zip(ap) {
+                *ri -= alpha * api;
+            }
+        };
+        let [rr, rz_new] = match &mut pre {
+            Some((d, z)) => {
+                vp.pass("cg.update", [&mut *x, &mut r, z], [&p, &ap, d], |[x, r, z], [p, ap, d]| {
+                    step(x, r, p, ap);
+                    for ((zi, ri), di) in z.iter_mut().zip(&*r).zip(d) {
+                        *zi = ri * di;
+                    }
+                    [dot_chunk(r, r), dot_chunk(r, z)]
+                })
+            }
+            None => vp.pass("cg.update", [&mut *x, &mut r], [&p, &ap], |[x, r], [p, ap]| {
+                step(x, r, p, ap);
+                let rr = dot_chunk(r, r);
+                [rr, rr]
+            }),
+        };
+        residual = rr.sqrt() / bnorm;
         history.push(residual);
         if residual <= tol {
             return SolveStats { iterations: it, residual, converged: true, history };
         }
-        apply_precond(&r, &mut z);
-        let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
-        xpby(&z, beta, &mut p);
+        let z = pre.as_ref().map_or(&r, |(_, z)| z);
+        vp.pass("cg.direction", [&mut p], [z], |[p], [z]| {
+            for (pi, zi) in p.iter_mut().zip(z) {
+                *pi = zi + beta * *pi;
+            }
+            []
+        });
     }
     SolveStats { iterations: max_iter, residual, converged: false, history }
 }
@@ -145,5 +210,39 @@ mod tests {
         // CG residuals are not strictly monotone, but the trend must
         // be decreasing: final << initial.
         assert!(stats.history.last().unwrap() < &stats.history[0]);
+    }
+
+    /// Plain and Jacobi-preconditioned CG over a system of many
+    /// chunks (past the inline cutoff, with a ragged tail) leave the
+    /// same bits in `x` and take the same iterations on 1, 2 and 3
+    /// threads.
+    #[test]
+    fn solves_are_bitwise_independent_of_the_team() {
+        use spmv_kernels::dense::{CHUNK, INLINE_CHUNKS};
+        use spmv_kernels::ExecEngine;
+        use std::sync::Arc;
+
+        let a = gen::banded(INLINE_CHUNKS * CHUNK + 3001, 3, 1.0, 5).unwrap();
+        let (at, mut coo) = (a.transpose(), a.to_coo());
+        for (r, c, v) in at.to_coo().iter() {
+            coo.push(r, c, v).unwrap();
+        }
+        let spd = spmv_sparse::Csr::from_coo(&coo);
+        let n = spd.nrows();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 13) as f64 * 0.125).collect();
+        let m = Jacobi::new(&spd);
+        for precond in [None, Some(&m)] {
+            let runs: Vec<_> = (1..=3)
+                .map(|t| {
+                    let mut vp = Passes::with_engine(n, Arc::new(ExecEngine::new(t)));
+                    let mut x = vec![0.0; n];
+                    let st = solve(&mut vp, &spd, &b, &mut x, precond, 1e-10, 500);
+                    assert!(st.converged, "t={t}: residual {}", st.residual);
+                    let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                    (st.iterations, st.residual.to_bits(), bits)
+                })
+                .collect();
+            assert!(runs.windows(2).all(|w| w[0] == w[1]), "precond {}", precond.is_some());
+        }
     }
 }

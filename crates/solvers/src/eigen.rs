@@ -6,8 +6,9 @@
 //! SpMV optimization translates one-for-one into eigensolver
 //! throughput.
 
+use spmv_kernels::dense::{dot_chunk, Passes};
+
 use crate::op::LinOp;
-use crate::vecops::{dot, norm2, scale};
 
 /// Result of a power-method run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,13 +37,17 @@ pub fn power_method(a: &impl LinOp, tol: f64, max_iter: usize) -> EigenResult {
     assert_eq!(a.ncols(), n, "power method needs a square operator");
     assert!(n > 0, "empty operator");
 
+    let mut vp = Passes::new(n);
     let mut v = vec![1.0 / (n as f64).sqrt(); n];
     let mut w = vec![0.0f64; n];
     let mut lambda = 0.0f64;
     let mut delta = f64::INFINITY;
     for it in 1..=max_iter {
         a.apply(&v, &mut w);
-        let norm = norm2(&w);
+        // The Rayleigh quotient `v·Av` of the unit iterate, and ‖Av‖.
+        let [vw, ww] =
+            vp.pass("power.dot", [], [&v, &w], |[], [v, w]| [dot_chunk(v, w), dot_chunk(w, w)]);
+        let norm = ww.sqrt();
         if norm < f64::MIN_POSITIVE {
             // Hit the null space: report a zero eigenvalue.
             return EigenResult {
@@ -53,20 +58,16 @@ pub fn power_method(a: &impl LinOp, tol: f64, max_iter: usize) -> EigenResult {
                 converged: true,
             };
         }
-        scale(&mut w, 1.0 / norm);
-        // Rayleigh quotient with the normalised iterate.
-        let mut av = vec![0.0f64; n];
-        a.apply(&w, &mut av);
-        lambda = dot(&w, &av);
-        delta = v
-            .iter()
-            .zip(&w)
-            .map(|(x, y)| {
-                let d = x - y;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt();
+        lambda = vw;
+        // Normalise w and measure ‖v − w‖ on the normalised chunk.
+        let inv = 1.0 / norm;
+        let [d2] = vp.pass("power.update", [&mut w], [&v], |[w], [v]| {
+            for wi in w.iter_mut() {
+                *wi *= inv;
+            }
+            [v.iter().zip(&*w).map(|(x, y)| (x - y) * (x - y)).sum()]
+        });
+        delta = d2.sqrt();
         std::mem::swap(&mut v, &mut w);
         if delta <= tol {
             return EigenResult {
@@ -91,6 +92,29 @@ pub fn power_method(a: &impl LinOp, tol: f64, max_iter: usize) -> EigenResult {
 mod tests {
     use super::*;
     use spmv_sparse::{Coo, Csr};
+    use std::cell::Cell;
+
+    /// Counts the operator applications the power method makes: one
+    /// per iteration.
+    struct Counting<'a> {
+        a: &'a Csr,
+        calls: Cell<usize>,
+    }
+
+    impl LinOp for Counting<'_> {
+        fn nrows(&self) -> usize {
+            self.a.nrows()
+        }
+
+        fn ncols(&self) -> usize {
+            self.a.ncols()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.calls.set(self.calls.get() + 1);
+            self.a.spmv(x, y);
+        }
+    }
 
     #[test]
     fn diagonal_matrix_dominant_eigenvalue() {
@@ -111,17 +135,21 @@ mod tests {
         // [[2, 1], [1, 2]] has eigenvalues 3 and 1.
         let a =
             Csr::from_raw(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![2.0, 1.0, 1.0, 2.0]).unwrap();
-        let r = power_method(&a, 1e-13, 10_000);
+        let op = Counting { a: &a, calls: Cell::new(0) };
+        let r = power_method(&op, 1e-13, 10_000);
         assert!((r.eigenvalue - 3.0).abs() < 1e-8, "{}", r.eigenvalue);
+        assert_eq!(op.calls.get(), r.iterations);
     }
 
     #[test]
     fn laplacian_spectral_radius_bound() {
         // 5-point Laplacian eigenvalues lie in (0, 8).
         let a = spmv_sparse::gen::stencil_2d(20, 20).unwrap();
-        let r = power_method(&a, 1e-10, 20_000);
+        let op = Counting { a: &a, calls: Cell::new(0) };
+        let r = power_method(&op, 1e-10, 20_000);
         assert!(r.converged);
         assert!(r.eigenvalue > 6.0 && r.eigenvalue < 8.0, "{}", r.eigenvalue);
+        assert_eq!(op.calls.get(), r.iterations);
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Restarted GMRES(m) for general systems.
 //!
 //! Arnoldi with modified Gram-Schmidt and Givens-rotation updates of
-//! the Hessenberg least-squares problem.
+//! the Hessenberg least-squares problem. Every vector pass runs on
+//! the engine team through `spmv_kernels::dense`; each Gram–Schmidt
+//! subtraction also takes the next projection (or `‖w‖²` after the
+//! last) from the updated chunk, so step `k` makes `k + 2` passes.
+//! The Arnoldi basis is allocated once per solve and the new basis
+//! vector is built in place.
+
+use spmv_kernels::dense::{dot_chunk, Passes};
 
 use crate::jacobi::Jacobi;
 use crate::op::{LinOp, SolveStats};
-use crate::vecops::{norm2, sub_into};
 
 /// Solves `A x = b` with restarted GMRES from initial guess `x`
 /// (overwritten with the solution).
@@ -13,6 +19,10 @@ use crate::vecops::{norm2, sub_into};
 /// * `restart` — Krylov subspace dimension `m` between restarts;
 /// * `tol` — relative residual target;
 /// * `max_iter` — total inner-iteration budget across restarts.
+///
+/// Convergence is only reported once the recomputed true residual
+/// `‖b − Ax‖/‖b‖` is within `tol`; a cycle whose recurrence estimate
+/// reaches `tol` without it restarts.
 ///
 /// # Panics
 /// Panics if the operator is not square, dimensions disagree, or
@@ -33,27 +43,43 @@ pub fn gmres(
     assert!(restart > 0, "restart must be positive");
 
     let m = restart;
-    let bnorm = norm2(b).max(f64::MIN_POSITIVE);
+    let mut vp = Passes::new(n);
+    let bnorm = vp.norm2("gmres.dot", b).max(f64::MIN_POSITIVE);
+    let d = precond.map(Jacobi::inv_diag);
     let mut history = Vec::new();
     let mut total_iters = 0usize;
 
-    let prec = |src: &[f64], dst: &mut [f64]| match precond {
-        Some(p) => p.apply(src, dst),
-        None => dst.copy_from_slice(src),
-    };
+    // Arnoldi basis (m+1 vectors), Hessenberg in compact form
+    // (h[i][j]) and Givens rotations, reused by every restart.
+    let mut v = vec![vec![0.0f64; n]; m + 1];
+    let mut h = vec![vec![0.0f64; m]; m + 1];
+    let mut cs = vec![0.0f64; m];
+    let mut sn = vec![0.0f64; m];
+    let mut g = vec![0.0f64; m + 1];
 
-    let mut r = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-    let mut residual;
-
-    'outer: loop {
-        // r = M^{-1} (b - A x)
-        a.apply(x, &mut tmp);
-        let mut raw = vec![0.0; n];
-        sub_into(b, &tmp, &mut raw);
-        prec(&raw, &mut r);
-        let beta = norm2(&r);
-        residual = norm2(&raw) / bnorm;
+    loop {
+        // v0 = M⁻¹(b − Ax); the true residual is ‖b − Ax‖.
+        a.apply(x, &mut v[0]);
+        let [raw2, beta2] = match d {
+            Some(d) => vp.pass("gmres.update", [&mut v[0]], [b, d], |[r], [b, d]| {
+                for (ri, bi) in r.iter_mut().zip(b) {
+                    *ri = bi - *ri;
+                }
+                let raw2 = dot_chunk(r, r);
+                for (ri, di) in r.iter_mut().zip(d) {
+                    *ri *= di;
+                }
+                [raw2, dot_chunk(r, r)]
+            }),
+            None => vp.pass("gmres.update", [&mut v[0]], [b], |[r], [b]| {
+                for (ri, bi) in r.iter_mut().zip(b) {
+                    *ri = bi - *ri;
+                }
+                let raw2 = dot_chunk(r, r);
+                [raw2, raw2]
+            }),
+        };
+        let mut residual = raw2.sqrt() / bnorm;
         if residual <= tol || total_iters >= max_iter {
             return SolveStats {
                 iterations: total_iters,
@@ -62,18 +88,9 @@ pub fn gmres(
                 history,
             };
         }
-
-        // Arnoldi basis (m+1 vectors) and Hessenberg in compact form.
-        let mut v: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-        let mut first = r.clone();
-        for val in &mut first {
-            *val /= beta;
-        }
-        v.push(first);
-        let mut h = vec![vec![0.0f64; m]; m + 1]; // h[i][j]
-        let mut cs = vec![0.0f64; m];
-        let mut sn = vec![0.0f64; m];
-        let mut g = vec![0.0f64; m + 1];
+        let beta = beta2.sqrt();
+        divide(&mut vp, &mut v[0], beta);
+        g.fill(0.0);
         g[0] = beta;
 
         let mut k_used = 0usize;
@@ -82,17 +99,41 @@ pub fn gmres(
                 break;
             }
             total_iters += 1;
-            // w = M^{-1} A v_k
-            a.apply(&v[k], &mut tmp);
-            let mut w = vec![0.0; n];
-            prec(&tmp, &mut w);
+            // w = M⁻¹ A v_k, built in place as v[k+1], with w·v_0.
+            let (basis, rest) = v.split_at_mut(k + 1);
+            let w = &mut rest[0][..];
+            a.apply(&basis[k], w);
+            let mut hik = match d {
+                Some(d) => vp.pass("gmres.mgs", [&mut *w], [d, &basis[0]], |[w], [d, v0]| {
+                    for (wi, di) in w.iter_mut().zip(d) {
+                        *wi *= di;
+                    }
+                    [dot_chunk(w, v0)]
+                })[0],
+                None => vp.dot("gmres.mgs", w, &basis[0]),
+            };
             // Modified Gram-Schmidt.
             for i in 0..=k {
-                let hik = crate::vecops::dot(&w, &v[i]);
                 h[i][k] = hik;
-                crate::vecops::axpy(-hik, &v[i], &mut w);
+                let sub = |w: &mut [f64], vi: &[f64]| {
+                    for (wj, vj) in w.iter_mut().zip(vi) {
+                        *wj -= hik * vj;
+                    }
+                };
+                [hik] = match basis.get(i + 1) {
+                    Some(next) => {
+                        vp.pass("gmres.mgs", [&mut *w], [&basis[i], next], |[w], [vi, next]| {
+                            sub(w, vi);
+                            [dot_chunk(w, next)]
+                        })
+                    }
+                    None => vp.pass("gmres.mgs", [&mut *w], [&basis[i]], |[w], [vi]| {
+                        sub(w, vi);
+                        [dot_chunk(w, w)]
+                    }),
+                };
             }
-            let wnorm = norm2(&w);
+            let wnorm = hik.sqrt();
             h[k + 1][k] = wnorm;
             // Apply previous Givens rotations to column k.
             for i in 0..k {
@@ -118,52 +159,33 @@ pub fn gmres(
             if residual <= tol {
                 break;
             }
-            let mut next = w;
-            for val in &mut next {
-                *val /= wnorm;
-            }
-            v.push(next);
+            divide(&mut vp, w, wnorm);
         }
 
-        // Back-substitution for y, then x += V y.
-        if k_used > 0 {
-            let mut y = vec![0.0f64; k_used];
-            for i in (0..k_used).rev() {
-                let mut s = g[i];
-                for j in i + 1..k_used {
-                    s -= h[i][j] * y[j];
-                }
-                y[i] = s / h[i][i];
+        // Back-substitution for y, then x += V y. The next cycle's
+        // true residual decides convergence.
+        let mut y = vec![0.0f64; k_used];
+        for i in (0..k_used).rev() {
+            let mut s = g[i];
+            for j in i + 1..k_used {
+                s -= h[i][j] * y[j];
             }
-            for (j, yj) in y.iter().enumerate() {
-                crate::vecops::axpy(*yj, &v[j], x);
-            }
+            y[i] = s / h[i][i];
         }
-
-        if residual <= tol {
-            // Recompute the true residual before declaring victory.
-            a.apply(x, &mut tmp);
-            let mut raw = vec![0.0; n];
-            sub_into(b, &tmp, &mut raw);
-            let true_res = norm2(&raw) / bnorm;
-            if true_res <= 10.0 * tol {
-                return SolveStats {
-                    iterations: total_iters,
-                    residual: true_res,
-                    converged: true,
-                    history,
-                };
-            }
-        }
-        if total_iters >= max_iter {
-            break 'outer;
+        for (yj, vj) in y.iter().zip(&v) {
+            vp.axpy("gmres.update", *yj, vj, x);
         }
     }
-    a.apply(x, &mut tmp);
-    let mut raw = vec![0.0; n];
-    sub_into(b, &tmp, &mut raw);
-    residual = norm2(&raw) / bnorm;
-    SolveStats { iterations: total_iters, residual, converged: residual <= tol, history }
+}
+
+/// `v /= s`.
+fn divide(vp: &mut Passes, v: &mut [f64], s: f64) {
+    vp.pass("gmres.update", [v], [], |[v], []| {
+        for vi in v.iter_mut() {
+            *vi /= s;
+        }
+        []
+    });
 }
 
 #[cfg(test)]
@@ -193,6 +215,12 @@ mod tests {
             let mut x = vec![0.0; 400];
             let stats = gmres(&a, &b, &mut x, None, m, 1e-9, 5_000);
             assert!(stats.converged, "m={m}, residual {}", stats.residual);
+            // Convergence means the true residual, not the estimate.
+            let mut ax = vec![0.0; 400];
+            a.spmv(&x, &mut ax);
+            let true_res = ax.iter().zip(&b).map(|(u, v)| (v - u) * (v - u)).sum::<f64>().sqrt()
+                / b.iter().map(|v| v * v).sum::<f64>().sqrt();
+            assert!(true_res <= 1e-9, "m={m}: true residual {true_res}");
         }
     }
 

@@ -17,6 +17,11 @@
 //! * [`op::LinOp`] — the operator abstraction every solver consumes,
 //!   implemented by [`spmv_sparse::Csr`] and by every
 //!   [`spmv_kernels::variant::SpmvKernel`].
+//!
+//! Every dense-vector pass (dots, axpys, the fused Krylov updates)
+//! runs through [`spmv_kernels::dense`]: on the same engine team as
+//! the SpMV, with reductions that are bitwise the same for every
+//! thread count. The crate runs no serial vector passes of its own.
 
 pub mod bicgstab;
 pub mod cg;
@@ -24,7 +29,6 @@ pub mod eigen;
 pub mod gmres;
 pub mod jacobi;
 pub mod op;
-pub mod vecops;
 
 pub use bicgstab::bicgstab;
 pub use cg::cg;
