@@ -10,8 +10,6 @@
 //! not need to predict absolute milliseconds — the optimizer only
 //! consumes *orderings* — so rank agreement is the relevant score.
 
-use std::time::Instant;
-
 use spmv_kernels::variant::{build_kernel, KernelVariant, Optimization};
 use spmv_machine::stream::calibrated_host_model;
 use spmv_sim::cost::{CostModel, SimSpec};
@@ -45,13 +43,7 @@ fn time_real(a: &Csr, variant: KernelVariant, nthreads: usize, reps: usize) -> f
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];
     built.kernel.run(&x, &mut y); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        built.kernel.run(&x, &mut y);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+    built.kernel.run_repeated(&x, &mut y, reps).0
 }
 
 /// Spearman rank correlation of two equal-length samples. Ties are

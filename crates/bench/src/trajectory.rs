@@ -179,21 +179,18 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
     let mut y = vec![0.0f64; a.nrows()];
     let mut variants = Vec::new();
     let mut classic = Vec::new();
+    let menu = spmv_kernels::micro::menu(a.ncols());
     for v in host_variants() {
         let built = build_kernel(a, v, nthreads);
         built.kernel.run(&x, &mut y); // warm-up
         let (best, times) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
         let gflops = flops / best.max(1e-12) / 1e9;
-        // `vec` and `comp` build byte-identical kernels to the menu's
-        // `csr/unrolled` and `delta` entries (same inner loop, same
-        // schedule, same format builder), so their measurements are
-        // additional samples of those candidates.
-        match v.to_string().as_str() {
-            "vec" => classic.push(("csr/unrolled".to_string(), gflops)),
-            "comp" if built.kernel.name().starts_with("delta") => {
-                classic.push(("delta".to_string(), gflops));
-            }
-            _ => {}
+        // A variant that built the same kernel-space point as a menu
+        // entry (`vec` is `csr/unrolled`, `comp` is `delta` unless its
+        // encoding fell back) measured that candidate: its timing is
+        // an additional sample of it.
+        if let Some(entry) = menu.iter().find(|e| e.config() == built.config) {
+            classic.push((entry.id(), gflops));
         }
         variants.push(
             JsonValue::obj()

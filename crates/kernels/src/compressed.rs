@@ -2,17 +2,18 @@
 //! kernel ("column index compression through delta encoding +
 //! vectorization").
 //!
-//! The format conversion happens in `variant::build_kernel` and its
-//! cost is reported as preprocessing time; this module only executes.
+//! The format conversion happens when a kernel config is lowered (see
+//! [`crate::variant::KernelConfig`]) and its cost is reported as
+//! preprocessing time; this module only executes.
 
 use std::ops::Range;
 
 use spmv_sparse::{DeltaCsr, MaybeValidated};
 
-use crate::baseline::checked_fallback;
+use crate::baseline::{checked_fallback, witness_plan, InnerLoop};
 use crate::engine::Plan;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
-use crate::variant::SpmvKernel;
+use crate::variant::{Format, KernelConfig, SpmvKernel};
 
 /// Parallel delta-compressed SpMV kernel. Owns its compressed matrix
 /// (the conversion product) and a precomputed [`Plan`].
@@ -25,18 +26,17 @@ use crate::variant::SpmvKernel;
 pub struct DeltaKernel {
     d: MaybeValidated<DeltaCsr>,
     plan: Plan,
+    /// Dispatch label: the id of the kernel config this kernel runs.
+    label: String,
 }
 
 impl DeltaKernel {
     /// Wraps a compressed matrix.
     pub fn new(d: DeltaCsr, nthreads: usize, schedule: Schedule) -> DeltaKernel {
         let d = MaybeValidated::new(d);
-        // A corrupt rowptr must not drive partitioning arithmetic.
-        let plan = match &d {
-            MaybeValidated::Validated(v) => Plan::new(schedule, v.rowptr(), nthreads),
-            MaybeValidated::Unvalidated(_) => Plan::new(schedule, &[0], nthreads),
-        };
-        DeltaKernel { d, plan }
+        let plan = witness_plan(&d, schedule, nthreads, |d| d.rowptr());
+        let label = KernelConfig { format: Format::Delta, row: InnerLoop::Scalar, schedule }.id();
+        DeltaKernel { d, plan, label }
     }
 
     /// Access to the compressed matrix (for footprint reporting).
@@ -84,7 +84,7 @@ impl SpmvKernel for DeltaKernel {
             MaybeValidated::Validated(v) => {
                 let d = v.get();
                 let yp = YPtr(y.as_mut_ptr());
-                self.plan.execute(|range| {
+                self.plan.execute_labeled(&self.label, |range| {
                     self.worker(d, range, x, yp);
                 })
             }

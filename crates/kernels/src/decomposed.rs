@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use spmv_sparse::{DecomposedCsr, MaybeValidated};
 
-use crate::baseline::{checked_fallback, InnerLoop};
+use crate::baseline::{checked_fallback, witness_plan, InnerLoop};
 use crate::engine::Plan;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
 use crate::variant::SpmvKernel;
@@ -43,11 +43,7 @@ impl DecomposedKernel {
         flavor: InnerLoop,
     ) -> DecomposedKernel {
         let d = MaybeValidated::new(d);
-        // A corrupt short rowptr must not drive partitioning.
-        let plan = match &d {
-            MaybeValidated::Validated(v) => Plan::new(schedule, v.short().rowptr(), nthreads),
-            MaybeValidated::Unvalidated(_) => Plan::new(schedule, &[0], nthreads),
-        };
+        let plan = witness_plan(&d, schedule, nthreads, |d| d.short().rowptr());
         DecomposedKernel { d, plan, flavor }
     }
 

@@ -227,7 +227,7 @@ impl ExecEngine {
     /// [`ExecEngine::run`] with a dispatch label: the caller-side
     /// Task/Dispatch trace events carry `label` as their name, so a
     /// capture shows *which* kernel (e.g. the tuner-selected
-    /// `micro:<id>`) each dispatch executed. The label stays out of
+    /// `csr/avx2-a2`, a kernel-config id) each dispatch executed. The label stays out of
     /// the worker-side hot path — workers record their events
     /// unnamed, exactly as before.
     ///

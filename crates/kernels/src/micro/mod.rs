@@ -1,6 +1,6 @@
 //! Monomorphized explicit-SIMD microkernel menu.
 //!
-//! The compiler-autovectorized loops in [`crate::vectorized`] leave
+//! The classic unrolled row loop of [`crate::baseline`] leaves
 //! the vector shape to LLVM: one fixed unroll, whatever ISA the
 //! default target enables. This module spells the shapes out — a
 //! *menu* of row-sum microkernels parameterized over vector width
@@ -28,10 +28,15 @@
 //!
 //! The menu itself ([`menu`]) extends beyond CSR row kernels to the
 //! other format axes the tuner searches over: SELL-C-σ slice heights
-//! and delta-compressed indices ([`MenuEntry`]).
+//! and delta-compressed indices. Each [`MenuEntry`] is a named point
+//! of the kernel space ([`crate::variant::KernelConfig`]).
 
 use std::fmt;
 use std::sync::OnceLock;
+
+use crate::baseline::InnerLoop;
+use crate::schedule::Schedule;
+use crate::variant::{Format, KernelConfig};
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -444,15 +449,23 @@ impl MenuEntry {
         MenuEntry::Csr(MicroSpec::scalar(Lanes::X4, 1))
     }
 
-    /// Stable identifier used in traces and bench output
-    /// (`csr/avx2-a2`, `sell/c8`, `delta`).
+    /// The point of the kernel space this entry names. Every entry
+    /// runs nnz-balanced; the delta entry's fallback for an
+    /// unencodable matrix is the scalar CSR baseline.
+    pub fn config(&self) -> KernelConfig {
+        let (format, row) = match *self {
+            MenuEntry::Csr(spec) => (Format::Csr, InnerLoop::Micro(spec)),
+            MenuEntry::Unrolled => (Format::Csr, InnerLoop::Unrolled),
+            MenuEntry::Sell { chunk } => (Format::Sell { chunk }, InnerLoop::Scalar),
+            MenuEntry::Delta => (Format::Delta, InnerLoop::Scalar),
+        };
+        KernelConfig { format, row, schedule: Schedule::NnzBalanced }
+    }
+
+    /// Stable identifier used in traces and bench output: the id of
+    /// the entry's config (`csr/avx2-a2`, `sell/c8`, `delta`).
     pub fn id(&self) -> String {
-        match self {
-            MenuEntry::Csr(spec) => format!("csr/{}", spec.id()),
-            MenuEntry::Unrolled => "csr/unrolled".to_string(),
-            MenuEntry::Sell { chunk } => format!("sell/c{chunk}"),
-            MenuEntry::Delta => "delta".to_string(),
-        }
+        self.config().id()
     }
 }
 

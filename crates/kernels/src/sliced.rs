@@ -6,10 +6,10 @@ use std::ops::Range;
 use spmv_sparse::sellcs::SellCs;
 use spmv_sparse::MaybeValidated;
 
-use crate::baseline::checked_fallback;
+use crate::baseline::{checked_fallback, witness_plan, InnerLoop};
 use crate::engine::Plan;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
-use crate::variant::SpmvKernel;
+use crate::variant::{Format, KernelConfig, SpmvKernel};
 
 /// Parallel SELL-C-σ kernel. Owns the converted matrix and a
 /// precomputed [`Plan`] over chunks (balanced by stored slots).
@@ -23,18 +23,18 @@ use crate::variant::SpmvKernel;
 pub struct SellKernel {
     s: MaybeValidated<SellCs>,
     plan: Plan,
+    /// Dispatch label: the id of the kernel config this kernel runs.
+    label: String,
 }
 
 impl SellKernel {
     /// Wraps a converted matrix.
     pub fn new(s: SellCs, nthreads: usize, schedule: Schedule) -> SellKernel {
         let s = MaybeValidated::new(s);
-        // A corrupt chunk pointer must not drive partitioning.
-        let plan = match &s {
-            MaybeValidated::Validated(v) => Plan::new(schedule, v.chunk_slots_ptr(), nthreads),
-            MaybeValidated::Unvalidated(_) => Plan::new(schedule, &[0], nthreads),
-        };
-        SellKernel { s, plan }
+        let format = Format::Sell { chunk: s.get().chunk_size() };
+        let label = KernelConfig { format, row: InnerLoop::Scalar, schedule }.id();
+        let plan = witness_plan(&s, schedule, nthreads, |s| s.chunk_slots_ptr());
+        SellKernel { s, plan, label }
     }
 
     /// Scheduling policy over chunks.
@@ -88,7 +88,7 @@ impl SpmvKernel for SellKernel {
             MaybeValidated::Validated(v) => {
                 let s = v.get();
                 let yp = YPtr(y.as_mut_ptr());
-                self.plan.execute(|chunks| {
+                self.plan.execute_labeled(&self.label, |chunks| {
                     self.worker(s, chunks, x, yp);
                 })
             }

@@ -13,18 +13,12 @@
 //!
 //! # Layout
 //!
-//! Two entry points share the plan:
-//!
-//! * [`SpmmKernel::run`] takes `X`/`Y` **interleaved**
-//!   (`x[col * k + j]` is column `col` of request `j`), so the
-//!   per-row inner loop touches one contiguous `k`-wide stripe per
-//!   matrix element — the layout a SIMD stripe kernel wants.
-//! * [`SpmmKernel::run_multi`] takes `k` *separate* vectors and reads
-//!   and writes them in place. The serving scheduler uses this one:
-//!   requests arrive and results leave as independent vectors, and
-//!   transposing them into the interleaved block costs two extra
-//!   passes over `O(n·k)` data per batch — serial work comparable to
-//!   the traversal the batch was meant to save.
+//! [`SpmmKernel::run_multi`] takes `k` *separate* vectors and reads
+//! and writes them in place: requests arrive and results leave as
+//! independent vectors, so the batch pays no transpose into an
+//! interleaved block. Each worker walks its rows once and, per row,
+//! computes all `k` row sums while the row's columns and values are
+//! cache-hot.
 //!
 //! # Determinism contract
 //!
@@ -39,6 +33,7 @@ use std::ops::Range;
 
 use spmv_sparse::{Csr, MaybeValidated};
 
+use crate::baseline::{checked_fallback, row_sum_scalar, witness_plan};
 use crate::engine::Plan;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
 
@@ -62,8 +57,9 @@ impl<'a> SpmmKernel<'a> {
     /// `nthreads`, with the same nnz-balanced row partition as the
     /// baseline SpMV kernel.
     pub fn new(a: &'a Csr, nthreads: usize) -> SpmmKernel<'a> {
-        let plan = Plan::new(Schedule::NnzBalanced, a.rowptr(), nthreads);
-        SpmmKernel { a: MaybeValidated::new(a), plan }
+        let a = MaybeValidated::new(a);
+        let plan = witness_plan(&a, Schedule::NnzBalanced, nthreads, |a| a.rowptr());
+        SpmmKernel { a, plan }
     }
 
     /// Rows of the underlying matrix.
@@ -82,47 +78,8 @@ impl<'a> SpmmKernel<'a> {
         self.a.is_validated()
     }
 
-    /// Computes `Y = A · X` for `k` interleaved vectors.
-    ///
-    /// `x.len() == ncols * k`, `y.len() == nrows * k`, both in the
-    /// interleaved layout described at module level. Returns
-    /// per-thread busy times like the single-vector kernels.
-    ///
-    /// # Panics
-    /// On shape mismatch or `k == 0`.
-    pub fn run(&self, x: &[f64], y: &mut [f64], k: usize) -> ThreadTimes {
-        let a = *self.a.get();
-        assert!(k > 0, "batch width must be at least 1");
-        assert_eq!(x.len(), a.ncols() * k, "x length");
-        assert_eq!(y.len(), a.nrows() * k, "y length");
-        match &self.a {
-            MaybeValidated::Validated(v) => {
-                let a = *v.get();
-                let yp = YPtr(y.as_mut_ptr());
-                self.plan.execute_labeled("spmm", |range| {
-                    spmm_worker(a, range, x, yp, k);
-                })
-            }
-            MaybeValidated::Unvalidated(a) => {
-                // Serial checked fallback: same accumulation order,
-                // one thread.
-                let t0 = std::time::Instant::now();
-                let mut acc = vec![0.0f64; k];
-                for i in 0..a.nrows() {
-                    spmm_row_block(a, i, x, &mut acc);
-                    y[i * k..i * k + k].copy_from_slice(&acc);
-                }
-                let mut seconds = vec![0.0; self.plan.nthreads()];
-                seconds[0] = t0.elapsed().as_secs_f64();
-                ThreadTimes { seconds }
-            }
-        }
-    }
-
-    /// Computes `y_j = A · x_j` for `k` independent vectors without
-    /// the interleaved layout: each `xs[j]` is read in place and each
-    /// `ys[j]` written directly, so a caller holding per-request
-    /// vectors pays zero transpose passes.
+    /// Computes `y_j = A · x_j` for `k` independent vectors: each
+    /// `xs[j]` is read in place and each `ys[j]` written directly.
     ///
     /// Accumulation order per vector is the serial reference's (row
     /// by row, column by column), so every `ys[j]` is bitwise
@@ -150,16 +107,12 @@ impl<'a> SpmmKernel<'a> {
                     multi_worker(a, range, xs, &yps);
                 })
             }
-            MaybeValidated::Unvalidated(a) => {
+            MaybeValidated::Unvalidated(a) => checked_fallback(self.plan.nthreads(), || {
                 // Serial checked fallback: literally the reference.
-                let t0 = std::time::Instant::now();
                 for (x, y) in xs.iter().zip(ys.iter_mut()) {
                     a.spmv(x, y);
                 }
-                let mut seconds = vec![0.0; self.plan.nthreads()];
-                seconds[0] = t0.elapsed().as_secs_f64();
-                ThreadTimes { seconds }
-            }
+            }),
         }
     }
 }
@@ -172,46 +125,13 @@ fn multi_worker(a: &Csr, range: Range<usize>, xs: &[&[f64]], ys: &[YPtr]) {
     for i in range {
         let (cols, vals) = a.row(i);
         for (x, y) in xs.iter().zip(ys) {
-            let mut acc = 0.0f64;
-            for (c, v) in cols.iter().zip(vals) {
-                acc += v * x[*c as usize];
-            }
+            let acc = row_sum_scalar(cols, vals, x);
             // SAFETY: the plan hands each worker disjoint row ranges
             // and every `ys[j]` points at a live `nrows` buffer
             // (asserted in `run_multi`), so `ys[j][i]` is written
             // exclusively by this worker and stays in bounds.
             unsafe { y.write(i, acc) };
         }
-    }
-}
-
-/// Accumulates row `i` of `A · X` into `acc[..k]`, per request in the
-/// serial reference order (column by column).
-#[inline(always)]
-fn spmm_row_block(a: &Csr, i: usize, x: &[f64], acc: &mut [f64]) {
-    let k = acc.len();
-    acc.fill(0.0);
-    let (cols, vals) = a.row(i);
-    for (c, v) in cols.iter().zip(vals) {
-        let stripe = &x[*c as usize * k..*c as usize * k + k];
-        for (a_j, x_j) in acc.iter_mut().zip(stripe) {
-            *a_j += v * x_j;
-        }
-    }
-}
-
-/// One worker's share of the batch product: whole rows, so every
-/// `y[i*k..][..k]` stripe is written by exactly one thread.
-fn spmm_worker(a: &Csr, range: Range<usize>, x: &[f64], y: YPtr, k: usize) {
-    let mut acc = vec![0.0f64; k];
-    for i in range {
-        spmm_row_block(a, i, x, &mut acc);
-        // SAFETY: the plan hands each worker disjoint row ranges and
-        // `y` points at a live `nrows * k` buffer (asserted in `run`),
-        // so the `k`-wide stripe of row `i` is written exclusively by
-        // this worker and stays in bounds.
-        let stripe = unsafe { y.subslice(i * k, k) };
-        stripe.copy_from_slice(&acc);
     }
 }
 
@@ -231,32 +151,22 @@ mod tests {
             .collect()
     }
 
-    fn interleave(vectors: &[Vec<f64>]) -> Vec<f64> {
-        let k = vectors.len();
-        let n = vectors[0].len();
-        let mut out = vec![0.0; n * k];
-        for (j, v) in vectors.iter().enumerate() {
-            for (i, &val) in v.iter().enumerate() {
-                out[i * k + j] = val;
-            }
-        }
-        out
-    }
-
+    /// Runs `run_multi` on `k` vectors and asserts every output is
+    /// bitwise the serial reference product.
     fn assert_bitwise_matches_serial(a: &Csr, nthreads: usize, k: usize) {
         let xs: Vec<Vec<f64>> = (0..k).map(|j| lcg_x(a.ncols(), j as u64 + 1)).collect();
-        let x_block = interleave(&xs);
-        let mut y_block = vec![0.0; a.nrows() * k];
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let mut ys: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; a.nrows()]).collect();
         let kernel = SpmmKernel::new(a, nthreads);
         assert!(kernel.is_validated());
-        kernel.run(&x_block, &mut y_block, k);
-        for (j, x) in xs.iter().enumerate() {
+        kernel.run_multi(&x_refs, &mut ys);
+        for (j, (x, y)) in xs.iter().zip(&ys).enumerate() {
             let mut y_ref = vec![0.0; a.nrows()];
             a.spmv(x, &mut y_ref);
-            for i in 0..a.nrows() {
+            for (i, (got, want)) in y.iter().zip(&y_ref).enumerate() {
                 assert_eq!(
-                    y_block[i * k + j].to_bits(),
-                    y_ref[i].to_bits(),
+                    got.to_bits(),
+                    want.to_bits(),
                     "row {i} vector {j} diverges from serial reference"
                 );
             }
@@ -264,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_results_are_bitwise_serial() {
+    fn run_multi_is_bitwise_serial() {
         let a = gen::banded(400, 5, 0.9, 7).unwrap();
         for nthreads in [1, 3, 4] {
             for k in [1, 2, 4, MAX_BATCH] {
@@ -280,62 +190,34 @@ mod tests {
     }
 
     #[test]
-    fn empty_rows_zero_the_whole_stripe() {
+    fn empty_rows_are_zeroed_in_every_output() {
         let a = Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap();
-        let k = 3;
-        let x = interleave(&[vec![1.0; 3], vec![2.0; 3], vec![0.5; 3]]);
-        let mut y = vec![9.0; 3 * k];
-        SpmmKernel::new(&a, 2).run(&x, &mut y, k);
-        assert_eq!(&y[0..3], &[5.0, 10.0, 2.5]); // row 0: 5 * x[0]
-        assert_eq!(&y[3..6], &[0.0, 0.0, 0.0]); // row 1 empty
-        assert_eq!(&y[6..9], &[7.0, 14.0, 3.5]); // row 2: 7 * x[2]
-    }
-
-    #[test]
-    fn run_multi_is_bitwise_serial_without_transposes() {
-        let a = gen::banded(400, 5, 0.9, 7).unwrap();
-        for nthreads in [1, 3, 4] {
-            for k in [1, 2, 4, MAX_BATCH] {
-                let xs: Vec<Vec<f64>> = (0..k).map(|j| lcg_x(a.ncols(), j as u64 + 1)).collect();
-                let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
-                let mut ys: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; a.nrows()]).collect();
-                let kernel = SpmmKernel::new(&a, nthreads);
-                assert!(kernel.is_validated());
-                kernel.run_multi(&x_refs, &mut ys);
-                for (x, y) in xs.iter().zip(&ys) {
-                    let mut y_ref = vec![0.0; a.nrows()];
-                    a.spmv(x, &mut y_ref);
-                    for (got, want) in y.iter().zip(&y_ref) {
-                        assert_eq!(got.to_bits(), want.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_multi_matches_interleaved_run_bitwise() {
-        let a = gen::powerlaw(600, 7, 2.0, 11).unwrap();
-        let k = 5;
-        let xs: Vec<Vec<f64>> = (0..k).map(|j| lcg_x(a.ncols(), j as u64 + 40)).collect();
-        let kernel = SpmmKernel::new(&a, 4);
-        let mut y_block = vec![0.0; a.nrows() * k];
-        kernel.run(&interleave(&xs), &mut y_block, k);
+        let xs = [vec![1.0; 3], vec![2.0; 3], vec![0.5; 3]];
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
-        let mut ys: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; a.nrows()]).collect();
-        kernel.run_multi(&x_refs, &mut ys);
-        for j in 0..k {
-            for i in 0..a.nrows() {
-                assert_eq!(ys[j][i].to_bits(), y_block[i * k + j].to_bits());
-            }
-        }
+        let mut ys = vec![vec![9.0; 3]; 3];
+        SpmmKernel::new(&a, 2).run_multi(&x_refs, &mut ys);
+        assert_eq!(ys[0], [5.0, 0.0, 7.0]);
+        assert_eq!(ys[1], [10.0, 0.0, 14.0]);
+        assert_eq!(ys[2], [2.5, 0.0, 3.5]);
+    }
+
+    #[test]
+    fn corrupt_rowptr_never_drives_partitioning() {
+        // A row pointer whose partial sums overflow must not reach the
+        // nnz-balanced partitioner: the unvalidated matrix plans over
+        // nothing and runs the serial checked fallback instead.
+        let a = Csr::from_raw_unchecked(3, 3, vec![0, 0, usize::MAX - 1, 5], vec![0], vec![1.0]);
+        let kernel = SpmmKernel::new(&a, 3);
+        assert!(!kernel.is_validated());
     }
 
     #[test]
     #[should_panic(expected = "x length")]
     fn shape_mismatch_panics() {
         let a = Csr::identity(4);
-        let mut y = vec![0.0; 8];
-        SpmmKernel::new(&a, 1).run(&[1.0; 7], &mut y, 2);
+        let xs = [vec![1.0; 7], vec![1.0; 7]];
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let mut ys = vec![vec![0.0; 4]; 2];
+        SpmmKernel::new(&a, 1).run_multi(&x_refs, &mut ys);
     }
 }

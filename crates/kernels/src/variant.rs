@@ -1,20 +1,29 @@
-//! Kernel variants: named optimization sets lowered onto executable
-//! kernels.
+//! The kernel space and its one lowering path.
 //!
-//! The paper's optimizer output is a *set* of optimizations (one per
-//! detected bottleneck class, applied jointly). [`KernelVariant`]
-//! captures such a set; [`build_kernel`] performs the required format
-//! conversions — timing them, because preprocessing cost is what the
-//! paper's Table 4 amortization study charges each optimizer for —
-//! and returns a ready-to-run [`SpmvKernel`].
+//! Every runnable kernel is a point of one configuration space,
+//! [`KernelConfig`]: a storage [`Format`], a row kernel
+//! ([`InnerLoop`]) and a row [`Schedule`]. Two families of named points
+//! map into it:
+//!
+//! * [`KernelVariant`] — the paper's optimizer output, a *set* of
+//!   optimizations (one per detected bottleneck class, applied jointly)
+//!   combined by the join rules of [`KernelVariant::config`];
+//! * [`MenuEntry`] — the tuner menu's candidates
+//!   ([`MenuEntry::config`]).
+//!
+//! [`build_kernel`] and [`build_micro_kernel`] map their point to a
+//! config and lower it through one function, which performs the
+//! format conversion and structural validation, times both as
+//! preprocessing — the quantity the paper's Table 4 amortization study
+//! charges each optimizer for — and applies the space's two fallback
+//! rules.
 
 use std::fmt;
 use std::time::Instant;
 
-use spmv_sparse::{Bcsr, Csr, DecomposedCsr, DeltaCsr, SellCs};
+use spmv_sparse::{Csr, DecomposedCsr, DeltaCsr, SellCs};
 
 use crate::baseline::{CsrKernel, InnerLoop};
-use crate::blocked::BcsrKernel;
 use crate::compressed::DeltaKernel;
 use crate::decomposed::DecomposedKernel;
 use crate::micro::MenuEntry;
@@ -35,15 +44,10 @@ pub enum Optimization {
     Decompose,
     /// `auto`/guided scheduling (`IMB`, computational unevenness).
     AutoSchedule,
-    /// Register blocking via BCSR (an *extension* optimization, not in
-    /// the paper's original pool — it demonstrates the plug-and-play
-    /// property: a new `MB`-class treatment slots in without touching
-    /// any classifier).
-    RegisterBlock,
     /// SELL-C-σ sliced-ELL storage (Kreutzer et al., cited by the
-    /// paper's related work) — a second extension: SIMD-lockstep
-    /// chunks with σ-window row sorting, an alternative `IMB`/`MB`
-    /// treatment for moderately skewed matrices.
+    /// paper's related work) — an extension beyond the paper's pool:
+    /// SIMD-lockstep chunks with σ-window row sorting, an alternative
+    /// `IMB`/`MB` treatment for moderately skewed matrices.
     SlicedEll,
 }
 
@@ -62,13 +66,12 @@ impl Optimization {
     ];
 
     /// The extended pool including post-paper additions.
-    pub const EXTENDED: [Optimization; 7] = [
+    pub const EXTENDED: [Optimization; 6] = [
         Optimization::Vectorize,
         Optimization::Prefetch,
         Optimization::Compress,
         Optimization::Decompose,
         Optimization::AutoSchedule,
-        Optimization::RegisterBlock,
         Optimization::SlicedEll,
     ];
 
@@ -79,8 +82,7 @@ impl Optimization {
             Optimization::Compress => 1 << 2,
             Optimization::Decompose => 1 << 3,
             Optimization::AutoSchedule => 1 << 4,
-            Optimization::RegisterBlock => 1 << 5,
-            Optimization::SlicedEll => 1 << 6,
+            Optimization::SlicedEll => 1 << 5,
         }
     }
 
@@ -92,8 +94,67 @@ impl Optimization {
             Optimization::Compress => "comp",
             Optimization::Decompose => "decomp",
             Optimization::AutoSchedule => "auto",
-            Optimization::RegisterBlock => "bcsr",
             Optimization::SlicedEll => "sell",
+        }
+    }
+}
+
+/// Storage format: the first axis of the kernel space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// Plain CSR, traversed with the config's row kernel.
+    Csr,
+    /// Delta-compressed column indices (1/2/4-byte deltas per row,
+    /// decoded by the format's own loop). A matrix whose deltas cannot
+    /// be encoded lowers as CSR with the config's row kernel and
+    /// schedule.
+    Delta,
+    /// SELL-C-σ with slice height `chunk` and σ = 32 × chunk.
+    Sell {
+        /// Slice height `C` (rows per SIMD-lockstep chunk).
+        chunk: usize,
+    },
+    /// Long rows split off and computed by all threads; the short part
+    /// is traversed as CSR with the config's row kernel. A matrix
+    /// without long rows lowers as `otherwise` instead.
+    Decomposed {
+        /// The format lowered when the matrix has no long rows.
+        otherwise: &'static Format,
+    },
+}
+
+/// SELL-8-256, the standard configuration for AVX-512-class machines
+/// and the `sell` variant's format.
+const SELL_8: Format = Format::Sell { chunk: 8 };
+
+/// One point of the kernel space: what [`build_kernel`] and
+/// [`build_micro_kernel`] lower.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelConfig {
+    /// Storage format.
+    pub format: Format,
+    /// Row kernel of the CSR traversals (the plain format, the
+    /// decomposed short part, and the delta fallback).
+    pub row: InnerLoop,
+    /// Row (or SELL chunk) schedule.
+    pub schedule: Schedule,
+}
+
+impl KernelConfig {
+    /// Stable identifier, also the dispatch label of the CSR, delta and
+    /// SELL kernels: the format, the row kernel where the format runs
+    /// one, and the schedule when it is not the nnz-balanced default
+    /// (`csr/avx2-a2`, `csr/unrolled@Guided`, `sell/c8`, `delta`).
+    pub fn id(&self) -> String {
+        let id = match self.format {
+            Format::Csr => format!("csr/{}", self.row.id()),
+            Format::Delta => "delta".to_string(),
+            Format::Sell { chunk } => format!("sell/c{chunk}"),
+            Format::Decomposed { .. } => format!("decomposed/{}", self.row.id()),
+        };
+        match self.schedule {
+            Schedule::NnzBalanced => id,
+            other => format!("{id}@{other:?}"),
         }
     }
 }
@@ -169,6 +230,41 @@ impl KernelVariant {
             }
         }
         out
+    }
+
+    /// The point of the kernel space this set names, by the paper's
+    /// joint-application rules (documented in DESIGN.md):
+    /// * `Vectorize` and `Prefetch` pick the row kernel;
+    /// * `AutoSchedule` switches the row schedule to guided;
+    /// * `SlicedEll` selects SELL-8-256, otherwise `Compress` selects
+    ///   delta-compressed CSR, otherwise the format is plain CSR;
+    /// * `Decompose` selects the decomposed format and skips
+    ///   compression (the paper never co-selects MB with
+    ///   IMB-by-long-rows). A matrix without long rows lowers the
+    ///   format the remaining optimizations select.
+    pub fn config(self) -> KernelConfig {
+        let row = InnerLoop::from_flags(
+            self.contains(Optimization::Vectorize),
+            self.contains(Optimization::Prefetch),
+        );
+        let schedule = if self.contains(Optimization::AutoSchedule) {
+            Schedule::Guided
+        } else {
+            Schedule::NnzBalanced
+        };
+        let rest: &'static Format = if self.contains(Optimization::SlicedEll) {
+            &SELL_8
+        } else if self.contains(Optimization::Compress) {
+            &Format::Delta
+        } else {
+            &Format::Csr
+        };
+        let format = if self.contains(Optimization::Decompose) {
+            Format::Decomposed { otherwise: rest }
+        } else {
+            *rest
+        };
+        KernelConfig { format, row, schedule }
     }
 }
 
@@ -257,7 +353,7 @@ pub trait SpmvKernel: Send + Sync {
     /// format: the format's own footprint plus the `x`/`y` vectors,
     /// per original nonzero. This is the per-variant traffic figure
     /// the benchmark trajectory records next to GFLOP/s — compression
-    /// and blocking show up here as fewer bytes per nonzero.
+    /// shows up here as fewer bytes per nonzero.
     fn effective_bytes_per_nnz(&self, nnz: usize) -> f64 {
         (self.format_bytes() + (self.nrows() + self.ncols()) * 8) as f64 / nnz.max(1) as f64
     }
@@ -270,136 +366,84 @@ pub struct BuiltKernel<'a> {
     /// Seconds spent on format conversion / setup (the `t_pre`
     /// component charged by the Table 4 amortization analysis).
     pub prep_seconds: f64,
-    /// The variant that was built (decompositions that found no long
-    /// rows fall back to CSR but keep the variant label).
+    /// The classic optimization label of the build: the variant
+    /// itself for [`build_kernel`] (kept even when a fallback rule
+    /// applied), the closest classic label for [`build_micro_kernel`].
     pub variant: KernelVariant,
+    /// The config actually lowered, after any fallback rule.
+    pub config: KernelConfig,
 }
 
-/// Lowers `variant` onto an executable kernel for `a`.
-///
-/// Joint-application rules (documented in DESIGN.md):
-/// * `Decompose` selects the two-phase decomposed format (when the
-///   matrix actually has long rows — otherwise it falls back to CSR);
-/// * otherwise `SlicedEll` selects SELL-8-256;
-/// * otherwise `RegisterBlock` selects BCSR (when a profitable block
-///   shape exists — otherwise it falls through);
-/// * otherwise `Compress` selects delta-compressed CSR;
-/// * `Decompose + Compress` keeps the decomposition and skips
-///   compression (the paper never co-selects MB with IMB-by-long-rows;
-///   the fallback preserves correctness);
-/// * `Vectorize` and `Prefetch` pick the inner-loop flavor;
-/// * `AutoSchedule` switches the row schedule to guided.
+/// Lowers the optimization set `variant` onto an executable kernel for
+/// `a`: its [`KernelVariant::config`], lowered.
 pub fn build_kernel<'a>(a: &'a Csr, variant: KernelVariant, nthreads: usize) -> BuiltKernel<'a> {
-    let schedule = if variant.contains(Optimization::AutoSchedule) {
-        Schedule::Guided
-    } else {
-        Schedule::NnzBalanced
-    };
-    let flavor = InnerLoop::from_flags(
-        variant.contains(Optimization::Vectorize),
-        variant.contains(Optimization::Prefetch),
-    );
-
-    // Preprocessing time is measured through kernel construction:
-    // every kernel performs its one-time O(nnz) structural
-    // verification there, and that cost belongs to `t_pre` just like
-    // the format conversion itself.
-    let t0 = Instant::now();
-    if variant.contains(Optimization::Decompose) {
-        if let Some(threshold) = DecomposedCsr::auto_threshold(a, nthreads) {
-            let d = DecomposedCsr::split(a, threshold).expect("threshold >= 1");
-            let kernel = Box::new(DecomposedKernel::new(d, nthreads, schedule, flavor));
-            return finish_build(kernel, t0, variant);
-        }
-        // No long rows: decomposition is a no-op; fall through to the
-        // remaining optimizations.
-    }
-    if variant.contains(Optimization::SlicedEll) {
-        // C = 8 lanes with a 256-row sorting window: the standard
-        // SELL-8-256 configuration for AVX-512-class machines.
-        let s = SellCs::from_csr(a, 8, 256).expect("sigma >= chunk");
-        let kernel = Box::new(SellKernel::new(s, nthreads, schedule));
-        return finish_build(kernel, t0, variant);
-    }
-    if variant.contains(Optimization::RegisterBlock) {
-        if let Some((r, c)) = Bcsr::auto_shape(a) {
-            let b = Bcsr::from_csr(a, r, c).expect("positive block dims");
-            let kernel = Box::new(BcsrKernel::new(b, nthreads, schedule, a.nnz()));
-            return finish_build(kernel, t0, variant);
-        }
-        // Unprofitable blocking (fill ratio too high): fall through.
-    }
-    if variant.contains(Optimization::Compress) {
-        // Note: the delta inner loop is scalar or unrolled via its own
-        // decode path; prefetch is unavailable there (future columns
-        // are not known before decoding). Vectorization benefits are
-        // modelled by the simulator; execution stays correct. A matrix
-        // whose deltas cannot be encoded (checked narrowing in the
-        // builder) falls through to plain CSR.
-        if let Ok(d) = DeltaCsr::from_csr(a) {
-            let kernel = Box::new(DeltaKernel::new(d, nthreads, schedule));
-            return finish_build(kernel, t0, variant);
-        }
-    }
-    let kernel = Box::new(CsrKernel::with_options(a, nthreads, schedule, flavor));
-    finish_build(kernel, t0, variant)
+    lower(a, variant.config(), nthreads, |_| variant)
 }
 
 /// Lowers one tuner menu candidate (see [`crate::micro::menu`]) onto
-/// an executable kernel for `a`.
-///
-/// Unlike [`build_kernel`], which lowers a bottleneck-class
-/// optimization *set*, this lowers a single concrete configuration
-/// from the microkernel menu: a CSR traversal with an explicit micro
-/// row kernel, a SELL-C-σ slice height (σ = 32 × C), or
-/// delta-compressed indices. The reported `variant` maps the entry
-/// back onto the closest classic optimization label so downstream
-/// reporting (bench trajectory, amortization) stays comparable. A
-/// delta encoding failure falls back to the scalar CSR baseline.
+/// an executable kernel for `a`: its [`MenuEntry::config`], lowered.
+/// The reported `variant` maps the config actually built back onto
+/// the closest classic optimization label so downstream reporting
+/// (bench trajectory, amortization) stays comparable.
 pub fn build_micro_kernel<'a>(a: &'a Csr, entry: MenuEntry, nthreads: usize) -> BuiltKernel<'a> {
-    let t0 = Instant::now();
-    match entry {
-        MenuEntry::Csr(spec) => {
-            let kernel = Box::new(CsrKernel::micro(a, nthreads, Schedule::NnzBalanced, spec));
-            finish_build(kernel, t0, KernelVariant::single(Optimization::Vectorize))
-        }
-        MenuEntry::Unrolled => {
-            let mut k =
-                CsrKernel::with_options(a, nthreads, Schedule::NnzBalanced, InnerLoop::Unrolled);
-            k.label = format!("micro:{}", entry.id());
-            finish_build(Box::new(k), t0, KernelVariant::single(Optimization::Vectorize))
-        }
-        MenuEntry::Sell { chunk } => {
-            let chunk = chunk.max(1);
-            let s = SellCs::from_csr(a, chunk, 32 * chunk).expect("sigma >= chunk");
-            let kernel = Box::new(SellKernel::new(s, nthreads, Schedule::NnzBalanced));
-            finish_build(kernel, t0, KernelVariant::single(Optimization::SlicedEll))
-        }
-        MenuEntry::Delta => match DeltaCsr::from_csr(a) {
-            Ok(d) => {
-                let kernel = Box::new(DeltaKernel::new(d, nthreads, Schedule::NnzBalanced));
-                finish_build(kernel, t0, KernelVariant::single(Optimization::Compress))
-            }
-            Err(_) => {
-                let kernel = Box::new(CsrKernel::baseline(a, nthreads));
-                finish_build(kernel, t0, KernelVariant::BASELINE)
-            }
-        },
-    }
+    lower(a, entry.config(), nthreads, |built| match built.format {
+        Format::Csr if built.row == InnerLoop::Scalar => KernelVariant::BASELINE,
+        Format::Csr => KernelVariant::single(Optimization::Vectorize),
+        Format::Delta => KernelVariant::single(Optimization::Compress),
+        Format::Sell { .. } => KernelVariant::single(Optimization::SlicedEll),
+        Format::Decomposed { .. } => KernelVariant::single(Optimization::Decompose),
+    })
 }
 
-/// Stamps the preprocessing time of a finished build and feeds the
-/// process-wide preprocessing telemetry, so amortization studies can
-/// read total conversion cost without threading a recorder through
-/// every call site.
-fn finish_build<'a>(
-    kernel: Box<dyn SpmvKernel + 'a>,
-    t0: Instant,
-    variant: KernelVariant,
+/// Lowers `config` onto an executable kernel for `a` — the one place
+/// kernel objects are built from the space — and labels the build with
+/// `variant` of the config actually built.
+///
+/// Preprocessing time is measured through kernel construction: every
+/// kernel performs its one-time O(nnz) structural verification there,
+/// and that cost belongs to `t_pre` just like the format conversion
+/// itself. It also feeds the process-wide preprocessing telemetry, so
+/// amortization studies can read total conversion cost without
+/// threading a recorder through every call site.
+///
+/// The two fallback rules:
+/// * `Decomposed` on a matrix without long rows lowers its `otherwise`
+///   format (decomposition is a no-op there);
+/// * `Delta` on a matrix whose deltas cannot be encoded (checked
+///   narrowing in the builder) lowers as CSR with the same row kernel
+///   and schedule.
+fn lower<'a>(
+    a: &'a Csr,
+    mut config: KernelConfig,
+    nthreads: usize,
+    variant: impl FnOnce(&KernelConfig) -> KernelVariant,
 ) -> BuiltKernel<'a> {
+    let t0 = Instant::now();
+    let kernel: Box<dyn SpmvKernel + 'a> = loop {
+        let KernelConfig { format, row, schedule } = config;
+        match format {
+            Format::Csr => break Box::new(CsrKernel::with_options(a, nthreads, schedule, row)),
+            Format::Delta => match DeltaCsr::from_csr(a) {
+                Ok(d) => break Box::new(DeltaKernel::new(d, nthreads, schedule)),
+                Err(_) => config.format = Format::Csr,
+            },
+            Format::Sell { chunk } => {
+                let chunk = chunk.max(1);
+                let s = SellCs::from_csr(a, chunk, 32 * chunk).expect("sigma >= chunk");
+                break Box::new(SellKernel::new(s, nthreads, schedule));
+            }
+            Format::Decomposed { otherwise } => match DecomposedCsr::auto_threshold(a, nthreads) {
+                Some(threshold) => {
+                    let d = DecomposedCsr::split(a, threshold).expect("threshold >= 1");
+                    break Box::new(DecomposedKernel::new(d, nthreads, schedule, row));
+                }
+                None => config.format = *otherwise,
+            },
+        }
+    };
     let prep_seconds = t0.elapsed().as_secs_f64();
     spmv_telemetry::metrics::preprocessing().add(prep_seconds);
-    BuiltKernel { kernel, prep_seconds, variant }
+    BuiltKernel { kernel, prep_seconds, variant: variant(&config), config }
 }
 
 #[cfg(test)]
@@ -459,6 +503,27 @@ mod tests {
         let a = gen::banded(400, 3, 1.0, 1).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
         assert!(built.kernel.name().starts_with("csr"), "got {}", built.kernel.name());
+        assert_eq!(built.config, KernelVariant::BASELINE.config());
+        // With compression in the set, the remaining optimization is
+        // delta compression.
+        let comp_decomp = KernelVariant::of(&[Optimization::Compress, Optimization::Decompose]);
+        let built = build_kernel(&a, comp_decomp, 4);
+        assert!(built.kernel.name().starts_with("delta"), "got {}", built.kernel.name());
+        assert_eq!(built.config, KernelVariant::single(Optimization::Compress).config());
+        assert_eq!(built.variant, comp_decomp);
+    }
+
+    #[test]
+    fn paper_variants_and_menu_entries_share_named_points() {
+        let point = |o| KernelVariant::single(o).config();
+        assert_eq!(point(Optimization::Vectorize), MenuEntry::Unrolled.config());
+        assert_eq!(point(Optimization::Compress), MenuEntry::Delta.config());
+        assert_eq!(point(Optimization::SlicedEll), MenuEntry::Sell { chunk: 8 }.config());
+        assert_eq!(MenuEntry::Unrolled.id(), "csr/unrolled");
+        assert_eq!(MenuEntry::Delta.id(), "delta");
+        assert_eq!(MenuEntry::Sell { chunk: 8 }.id(), "sell/c8");
+        let guided = KernelVariant::of(&[Optimization::Vectorize, Optimization::AutoSchedule]);
+        assert_eq!(guided.config().id(), "csr/unrolled@Guided");
     }
 
     #[test]

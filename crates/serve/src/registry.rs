@@ -113,20 +113,9 @@ impl RegisteredMatrix {
         (y, times.max())
     }
 
-    /// One coalesced batch: `x` holds `k` interleaved request vectors
-    /// (`x[col * k + j]`), the result holds `k` interleaved outputs.
-    /// Scalar accumulation order — bitwise-serial per vector.
-    pub fn spmm(&self, x: &[f64], k: usize) -> Vec<f64> {
-        let mut y = vec![0.0; self.nrows() * k];
-        self.batch.run(x, &mut y, k);
-        y
-    }
-
-    /// One coalesced batch over *separate* request vectors: each
-    /// `xs[j]` is read in place and its result returned as an
-    /// independent vector, so the scheduler pays no interleave /
-    /// deinterleave passes. Scalar accumulation order —
-    /// bitwise-serial per vector.
+    /// One coalesced batch over separate request vectors: each `xs[j]`
+    /// is read in place and its result returned as an independent
+    /// vector. Scalar accumulation order — bitwise-serial per vector.
     pub fn spmm_multi(&self, xs: &[&[f64]]) -> Vec<Vec<f64>> {
         self.spmm_multi_timed(xs).0
     }
@@ -391,18 +380,13 @@ mod tests {
         let k = 3;
         let xs: Vec<Vec<f64>> =
             (0..k).map(|j| (0..m.ncols()).map(|i| ((i + j) as f64).cos()).collect()).collect();
-        let mut x_block = vec![0.0; m.ncols() * k];
-        for (j, x) in xs.iter().enumerate() {
-            for (i, &v) in x.iter().enumerate() {
-                x_block[i * k + j] = v;
-            }
-        }
-        let y_block = m.spmm(&x_block, k);
-        for (j, x) in xs.iter().enumerate() {
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let ys = m.spmm_multi(&x_refs);
+        for (x, y) in xs.iter().zip(&ys) {
             let mut y_ref = vec![0.0; m.nrows()];
             serial.spmv(x, &mut y_ref);
-            for i in 0..m.nrows() {
-                assert_eq!(y_block[i * k + j].to_bits(), y_ref[i].to_bits());
+            for (got, want) in y.iter().zip(&y_ref) {
+                assert_eq!(got.to_bits(), want.to_bits());
             }
         }
     }

@@ -5,9 +5,9 @@
 //! how far a row can move from its original position), grouped into
 //! chunks of `C` consecutive sorted rows, and each chunk is padded to
 //! its own maximal length and stored **column-major** so a SIMD unit
-//! processes `C` rows in lockstep. A second extension-format
-//! demonstration (besides BCSR) for the plug-and-play optimization
-//! pool.
+//! processes `C` rows in lockstep. An extension format beyond the
+//! paper's pool: the `sell` variant and the tuner menu's `sell/c*`
+//! entries.
 
 use crate::csr::Csr;
 use crate::error::SparseError;

@@ -9,9 +9,8 @@
 //!
 //! * [`ValidateFormat`] — per-format structural verification: row
 //!   pointers monotone and bounds-consistent, column indices inside
-//!   `ncols`, delta streams that decode in-bounds, BCSR block
-//!   geometry, SELL-C-σ slice lengths and padding, decomposition row
-//!   coverage exactly-once.
+//!   `ncols`, delta streams that decode in-bounds, SELL-C-σ slice
+//!   lengths and padding, decomposition row coverage exactly-once.
 //! * [`Validated<F>`] — a witness that `validate_structure` succeeded
 //!   on the wrapped value. Because every format's fields are private
 //!   and its safe constructors preserve the invariants, the witness
@@ -172,7 +171,7 @@ pub(crate) fn check_rowptr(
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::{Bcsr, Csr, DecomposedCsr, DeltaCsr, SellCs};
+    use crate::{Csr, DecomposedCsr, DeltaCsr, SellCs};
 
     #[test]
     fn well_formed_formats_all_validate() {
@@ -180,8 +179,6 @@ mod tests {
         assert!(Validated::new(&a).is_ok());
         let d = DeltaCsr::from_csr(&a).unwrap();
         assert!(Validated::new(&d).is_ok());
-        let b = Bcsr::from_csr(&a, 2, 2).unwrap();
-        assert!(Validated::new(&b).is_ok());
         let s = SellCs::from_csr(&a, 8, 64).unwrap();
         assert!(Validated::new(&s).is_ok());
         let dc = DecomposedCsr::split(&a, 16).unwrap();

@@ -12,6 +12,13 @@ use std::fmt;
 use spmv_kernels::variant::{KernelVariant, Optimization};
 use spmv_sparse::FeatureVector;
 
+/// Row-length skew above which the `IMB` class is treated as dense
+/// rows rather than computational unevenness: a matrix whose longest
+/// row holds more than `LONG_ROW_SKEW` times the average row's
+/// nonzeros (`nnz_max > LONG_ROW_SKEW · nnz_avg`) takes long-row
+/// decomposition instead of `auto` scheduling.
+pub const LONG_ROW_SKEW: f64 = 16.0;
+
 /// One SpMV performance bottleneck (paper §III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bottleneck {
@@ -124,8 +131,14 @@ impl ClassSet {
     /// (paper Table "classes to optimizations"). The `IMB` class
     /// selects between decomposition and `auto` scheduling from
     /// structural features: highly uneven row lengths
-    /// (`nnz_max ≫ nnz_avg`) take decomposition, regionally varying
-    /// bandwidth (`bw_sd` large) takes `auto` scheduling.
+    /// (`nnz_max > LONG_ROW_SKEW · nnz_avg`, see [`LONG_ROW_SKEW`])
+    /// take decomposition, anything milder takes `auto` scheduling.
+    ///
+    /// This mapping is the plug-and-play seam of the paper: the
+    /// classifiers only produce a [`ClassSet`], and what each class
+    /// runs is decided here and lowered through the one kernel space
+    /// ([`spmv_kernels::KernelConfig`]), so a treatment can change
+    /// without retraining either classifier.
     pub fn to_variant(self, features: &FeatureVector) -> KernelVariant {
         let mut v = KernelVariant::BASELINE;
         if self.contains(Bottleneck::MB) {
@@ -135,7 +148,7 @@ impl ClassSet {
             v = v.with(Optimization::Prefetch);
         }
         if self.contains(Bottleneck::IMB) {
-            if features.nnz_max > 16.0 * features.nnz_avg.max(1.0) {
+            if features.nnz_max > LONG_ROW_SKEW * features.nnz_avg.max(1.0) {
                 v = v.with(Optimization::Decompose);
             } else {
                 v = v.with(Optimization::AutoSchedule);
@@ -223,7 +236,7 @@ mod tests {
         // Mild unevenness: auto scheduling.
         let mild = gen::powerlaw(5_000, 8, 2.4, 3).unwrap();
         let f = features(&mild);
-        if f.nnz_max <= 16.0 * f.nnz_avg {
+        if f.nnz_max <= LONG_ROW_SKEW * f.nnz_avg {
             let v2 = ClassSet::of(&[Bottleneck::IMB]).to_variant(&f);
             assert!(v2.contains(Optimization::AutoSchedule));
         }

@@ -16,7 +16,7 @@
 
 use spmv_sparse::features::{FeatureSet, FeatureVector};
 
-use crate::class::{Bottleneck, ClassSet};
+use crate::class::{Bottleneck, ClassSet, LONG_ROW_SKEW};
 use crate::dtree::{DecisionTree, TreeParams};
 
 /// A trained feature-guided classifier.
@@ -163,7 +163,7 @@ pub fn heuristic_classify(f: &FeatureVector, machine_is_many_core: bool) -> Clas
     let avg = f.nnz_avg.max(1.0);
     // Dense-row concentration: workload imbalance + compute-limited
     // serialised rows.
-    if f.nnz_max > 16.0 * avg {
+    if f.nnz_max > LONG_ROW_SKEW * avg {
         set = set.with(Bottleneck::IMB).with(Bottleneck::CMP);
     }
     // Strong per-row irregularity: latency-bound accesses to x; far
@@ -174,7 +174,7 @@ pub fn heuristic_classify(f: &FeatureVector, machine_is_many_core: bool) -> Clas
     }
     // Row-length variance without dense rows: computational
     // unevenness.
-    if f.nnz_sd > 1.5 * avg && f.nnz_max <= 16.0 * avg {
+    if f.nnz_sd > 1.5 * avg && f.nnz_max <= LONG_ROW_SKEW * avg {
         set = set.with(Bottleneck::IMB);
     }
     // Cache-resident working sets push toward the ridge point.

@@ -25,9 +25,7 @@
 //!   [`amortize::TuneCost`] so menu-search time is charged too;
 //! * [`menu`] — the microkernel menu search: bound-pruned candidate
 //!   timing over `spmv_kernels::micro`'s explicit-SIMD menu, with
-//!   per-matrix cached winning [`menu::KernelPlan`]s;
-//! * [`pool`] — the class→optimization mapping as a configurable
-//!   value, demonstrating the plug-and-play extension property.
+//!   per-matrix cached winning [`menu::KernelPlan`]s.
 
 pub mod amortize;
 pub mod bounds;
@@ -37,7 +35,6 @@ pub mod featclf;
 pub mod menu;
 pub mod optimizer;
 pub mod partitioned;
-pub mod pool;
 pub mod profile;
 
 pub use class::{Bottleneck, ClassSet};
@@ -45,5 +42,4 @@ pub use featclf::FeatureGuidedClassifier;
 pub use menu::{KernelPlan, MenuTrace};
 pub use optimizer::{Optimizer, TunedSpmv};
 pub use partitioned::PartitionedMlDetector;
-pub use pool::OptimizationPool;
 pub use profile::{ProfileClassifier, Thresholds};

@@ -213,12 +213,7 @@ impl Optimizer {
         for &variant in &candidates {
             let built = build_kernel(a, variant, self.nthreads);
             built.kernel.run(&x, &mut y); // warm-up
-            let mut t_best = f64::INFINITY;
-            for _ in 0..self.profiling_reps {
-                let t = Instant::now();
-                built.kernel.run(&x, &mut y);
-                t_best = t_best.min(t.elapsed().as_secs_f64());
-            }
+            let (t_best, _) = built.kernel.run_repeated(&x, &mut y, self.profiling_reps);
             if best.as_ref().is_none_or(|(b, _)| t_best < *b) {
                 best = Some((t_best, variant));
             }

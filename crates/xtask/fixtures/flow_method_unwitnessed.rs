@@ -1,6 +1,6 @@
 //! Audit fixture: the unwitnessed path runs through *method*
 //! dispatch (`self.inner(...)`), which the call-graph resolver must
-//! follow by name. Scanned as crates/kernels/src/vectorized.rs this
+//! follow by name. Scanned as crates/kernels/src/baseline.rs this
 //! must trigger only `witness-flow`.
 //! Not compiled — scanned only by `cargo xtask audit`'s self-test.
 

@@ -753,12 +753,9 @@ const POLICY_SIMD: &str = "simd-containment";
 /// inner loops / engine plumbing in `spmv-kernels`.
 const UNCHECKED_ALLOWLIST: &[&str] = &[
     "crates/sparse/src/delta.rs",
-    "crates/sparse/src/bcsr.rs",
     "crates/sparse/src/sellcs.rs",
     "crates/sparse/src/decomp.rs",
     "crates/kernels/src/baseline.rs",
-    "crates/kernels/src/vectorized.rs",
-    "crates/kernels/src/prefetch.rs",
     "crates/kernels/src/schedule.rs",
     "crates/kernels/src/engine.rs",
     "crates/kernels/src/micro/mod.rs",
@@ -1403,11 +1400,7 @@ const FIXTURES: &[(&str, &str, &[&str])] = &[
     // fast path through a helper chain, and through method dispatch;
     // a Validated parameter or a `witness-ok` item breaks the path.
     ("flow_unwitnessed.rs", "crates/kernels/src/baseline.rs", &[flow::POLICY_WITNESS_FLOW]),
-    (
-        "flow_method_unwitnessed.rs",
-        "crates/kernels/src/vectorized.rs",
-        &[flow::POLICY_WITNESS_FLOW],
-    ),
+    ("flow_method_unwitnessed.rs", "crates/kernels/src/baseline.rs", &[flow::POLICY_WITNESS_FLOW]),
     ("flow_witnessed.rs", "crates/kernels/src/baseline.rs", &[]),
     ("flow_witness_marker.rs", "crates/kernels/src/baseline.rs", &[]),
     // Policy 11 (panic-flow): panic sinks transitively reachable from

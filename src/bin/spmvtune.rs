@@ -245,7 +245,6 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     use spmv_tune::kernels::variant::{build_kernel, KernelVariant};
-    use std::time::Instant;
     let (name, a) = load_input(args)?;
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     println!("benchmarking {name} on this host ({nthreads} threads), 10 reps each:");
@@ -258,12 +257,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     for v in variants {
         let built = build_kernel(&a, v, nthreads);
         built.kernel.run(&x, &mut y); // warm-up
-        let mut t = f64::INFINITY;
-        for _ in 0..10 {
-            let t0 = Instant::now();
-            built.kernel.run(&x, &mut y);
-            t = t.min(t0.elapsed().as_secs_f64());
-        }
+        let (t, _) = built.kernel.run_repeated(&x, &mut y, 10);
         let gf = flops / t / 1e9;
         if gf > best.1 {
             best = (v, gf);

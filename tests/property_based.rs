@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use spmv_tune::kernels::variant::{build_kernel, KernelVariant};
 use spmv_tune::sparse::csr::partition_rows_by_nnz;
 use spmv_tune::sparse::gen::{jittered_permutation, permute_symmetric};
-use spmv_tune::sparse::{Bcsr, Coo, Csr, DecomposedCsr, DeltaCsr, SellCs};
+use spmv_tune::sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, SellCs};
 
 /// Strategy: a random sparse matrix as triplets (duplicates allowed;
 /// they are summed by the COO->CSR conversion).
@@ -86,25 +86,6 @@ proptest! {
         built.kernel.run(&x, &mut y);
         for (i, (u, v)) in y.iter().zip(&expect).enumerate() {
             prop_assert!((u - v).abs() < 1e-9, "{} row {}: {} vs {}", variant, i, u, v);
-        }
-    }
-
-    #[test]
-    fn bcsr_preserves_the_product(
-        (nrows, ncols, entries) in arb_matrix(),
-        r in 1usize..5,
-        c in 1usize..5,
-    ) {
-        let a = build(nrows, ncols, &entries);
-        let b = Bcsr::from_csr(&a, r, c).expect("positive dims");
-        prop_assert!(b.stored_values() >= a.nnz());
-        let x: Vec<f64> = (0..ncols).map(|i| (i as f64 * 0.21).cos()).collect();
-        let mut y1 = vec![0.0; nrows];
-        let mut y2 = vec![0.0; nrows];
-        a.spmv(&x, &mut y1);
-        b.spmv(&x, &mut y2);
-        for (u, v) in y1.iter().zip(&y2) {
-            prop_assert!((u - v).abs() < 1e-9);
         }
     }
 
