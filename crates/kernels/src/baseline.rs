@@ -5,11 +5,16 @@
 //! thread receives approximately equal nonzeros. All optimized
 //! kernels are measured against it.
 //!
-//! The same traversal runs every row kernel of the kernel space
-//! ([`InnerLoop`]): the four classic flavors — the scalar loop, the
-//! `CMP`-class 4-way unrolled loop, and either one with the `ML`-class
-//! software prefetch of `x` — share one generic loop, and the menu's
-//! explicit microkernels come from [`crate::micro`].
+//! One traversal (`InnerLoop::run_rows`) runs every row kernel of
+//! the kernel space over a worker's rows, for [`CsrKernel`] and for
+//! the short phase of [`crate::decomposed::DecomposedKernel`]. The
+//! four classic flavors share one generic loop: the scalar loop or
+//! the `CMP`-class 4-way unrolled loop, either one optionally behind
+//! the `ML`-class software prefetch of `x`. As in the paper's
+//! `x[colind[j + dist]]`, where `j` is the global nonzero index, the
+//! prefetch looks ahead along the worker's flat nonzero stream and
+//! crosses row ends. The menu's explicit microkernels come from
+//! [`crate::micro`].
 
 use std::ops::Range;
 
@@ -20,13 +25,25 @@ use crate::micro::MicroSpec;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
 use crate::variant::{Format, KernelConfig, SpmvKernel};
 
-/// Software prefetch distance of the `ML`-class flavors: elements per
-/// 64-byte cache line of f64. Per the paper: "A single prefetch
+/// Software prefetch distance of the `ML`-class flavors, in nonzeros
+/// of the worker's flat nonzero stream.
+///
+/// The paper uses one cache line of elements: "A single prefetch
 /// instruction was inserted in the inner loop of SpMV, with a fixed
 /// prefetch distance equal to the number of elements that fit in a
-/// single cache line of the hardware platform. Data are prefetched
-/// into the L1 cache."
-const PREFETCH_DIST: usize = 8;
+/// single cache line of the hardware platform." That suits the
+/// in-order KNC/KNL cores, which stall on every miss. An out-of-order
+/// core already overlaps the misses inside its own window, so a hint
+/// only helps when it runs about one memory latency ahead of it.
+///
+/// Derivation: SpMV time on the 164³ jittered 7-point heat stencil
+/// (4.41M rows, 30.7M nnz, 474 MB working set; 2 threads of a 2-vCPU
+/// AVX-512 VM; median of 9 interleaved rounds) against the distance:
+///
+/// | distance | none | 8 | 32 | 64 | 128 | 256 | 512 | 1024 |
+/// |---|---|---|---|---|---|---|---|---|
+/// | SpMV (ms) | 59.8 | 53.5 | 44.4 | 38.6 | **36.6** | 37.6 | 39.9 | 41.3 |
+const PREFETCH_DIST: usize = 128;
 
 /// Row kernel of a CSR-like kernel: the row axis of the kernel space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +52,8 @@ pub enum InnerLoop {
     Scalar,
     /// 4-way unrolled with independent accumulators (vectorizable).
     Unrolled,
-    /// Scalar with software prefetch of `x[colind[j + dist]]`.
+    /// Scalar row sums behind a software prefetch of `x` running
+    /// 128 nonzeros ahead in the flat nonzero stream.
     Prefetch,
     /// Unrolled + prefetch.
     UnrolledPrefetch,
@@ -69,61 +87,110 @@ impl InnerLoop {
         }
     }
 
-    /// Computes the dot product of one sparse row with `x`, bounds
-    /// checks elided.
+    /// The flavor itself, or for a SIMD [`InnerLoop::Micro`] spec whose
+    /// gather cannot address `ncols` columns (`ncols > i32::MAX`) its
+    /// bitwise-identical scalar fallback — establishing the `i32`
+    /// part of [`InnerLoop::run_rows`]'s contract.
+    pub(crate) fn gather_checked(self, ncols: usize) -> InnerLoop {
+        match self {
+            InnerLoop::Micro(spec) if !crate::micro::gather_compatible(ncols) => {
+                InnerLoop::Micro(spec.scalar_fallback())
+            }
+            other => other,
+        }
+    }
+
+    /// Writes `y[i]` = row `i` of `a` times `x` for every `i` in
+    /// `rows`, bounds checks on `x` elided: the one CSR row traversal.
+    /// The flavor is matched once per call, so every row loop below
+    /// is monomorphic.
     ///
     /// # Safety
-    /// `cols.len() == vals.len()` and every entry of `cols` indexes in
-    /// bounds of `x` — guaranteed when the row comes from a
-    /// [`spmv_sparse::Validated`] CSR witness and `x.len() == ncols`.
-    /// For a SIMD [`InnerLoop::Micro`] flavor, columns must
-    /// additionally fit in `i32` (see [`crate::micro::gather_compatible`];
-    /// enforced by [`CsrKernel::with_options`] at construction).
-    #[inline(always)]
-    pub unsafe fn row_sum_unchecked(self, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+    /// `a` carries a [`spmv_sparse::Validated`] witness (every column
+    /// is below `ncols`) and `x.len() == a.ncols()`; `rows` lies in
+    /// `0..a.nrows()`; `y` points at a live buffer of `a.nrows()`
+    /// elements whose entries in `rows` the caller owns exclusively
+    /// for the call. For a SIMD [`InnerLoop::Micro`] flavor, columns
+    /// must additionally fit in `i32` (see
+    /// [`crate::micro::gather_compatible`]).
+    #[inline]
+    pub(crate) unsafe fn run_rows(self, a: &Csr, rows: Range<usize>, x: &[f64], y: YPtr) {
         // SAFETY: each arm forwards the caller's contract unchanged.
         unsafe {
             match self {
-                InnerLoop::Scalar => row_sum_classic::<1, false>(cols, vals, x),
-                InnerLoop::Unrolled => row_sum_classic::<4, false>(cols, vals, x),
-                InnerLoop::Prefetch => row_sum_classic::<1, true>(cols, vals, x),
-                InnerLoop::UnrolledPrefetch => row_sum_classic::<4, true>(cols, vals, x),
-                InnerLoop::Micro(spec) => spec.row_sum_unchecked(cols, vals, x),
+                InnerLoop::Scalar => csr_rows::<1, false>(a, rows, x, y),
+                InnerLoop::Unrolled => csr_rows::<4, false>(a, rows, x, y),
+                InnerLoop::Prefetch => csr_rows::<1, true>(a, rows, x, y),
+                InnerLoop::UnrolledPrefetch => csr_rows::<4, true>(a, rows, x, y),
+                InnerLoop::Micro(spec) => {
+                    for i in rows {
+                        let (cols, vals) = a.row(i);
+                        y.write(i, spec.row_sum_unchecked(cols, vals, x));
+                    }
+                }
             }
         }
     }
 }
 
-/// The classic row loop behind the four non-micro flavors: `ACC`
-/// independent accumulators (1 = the paper's Fig. 2 scalar loop,
-/// 4 = the unrolled loop the compiler autovectorizes) and, with
-/// `PREFETCH`, one prefetch hint for `x[cols[b + PREFETCH_DIST]]` per
-/// `ACC`-element block.
+/// The classic traversal behind the four non-micro flavors: each row
+/// summed by [`row_sum_classic`] with `ACC` accumulators and, with
+/// `LOOKAHEAD`, preceded by a prefetch of `x[colind[k]]` for `k` in
+/// `rowptr[i] + D .. rowptr[i + 1] + D` (D = [`PREFETCH_DIST`]),
+/// clipped to the last nonzero of `rows`. Over a range, every
+/// nonzero past its first D is hinted exactly once whatever the row
+/// lengths, and no hint reaches into another worker's rows. The hints
+/// never touch the arithmetic, so a lookahead flavor is bitwise
+/// identical to its twin without one.
+///
+/// # Safety
+/// Same contract as [`InnerLoop::run_rows`].
+#[inline(always)]
+unsafe fn csr_rows<const ACC: usize, const LOOKAHEAD: bool>(
+    a: &Csr,
+    rows: Range<usize>,
+    x: &[f64],
+    y: YPtr,
+) {
+    let (rowptr, colind, values) = (a.rowptr(), a.colind(), a.values());
+    let stream_end = rowptr[rows.end];
+    for i in rows {
+        let (s, e) = (rowptr[i], rowptr[i + 1]);
+        if LOOKAHEAD {
+            let ahead = (s + PREFETCH_DIST).min(stream_end)..(e + PREFETCH_DIST).min(stream_end);
+            debug_assert!(
+                ahead.start <= ahead.end && ahead.end <= stream_end,
+                "lookahead {ahead:?} leaves the range's nonzeros ..{stream_end}"
+            );
+            for &c in &colind[ahead] {
+                prefetch_x(x, c as usize);
+            }
+        }
+        // SAFETY: row i of a validated matrix (caller's contract): its
+        // columns are < ncols == x.len(), and the caller owns y[i].
+        unsafe { y.write(i, row_sum_classic::<ACC>(&colind[s..e], &values[s..e], x)) };
+    }
+}
+
+/// The classic row loop: `ACC` independent accumulators (1 = the
+/// paper's Fig. 2 scalar loop, 4 = the unrolled loop the compiler
+/// autovectorizes).
 ///
 /// Separate multiply and add (no fused multiply-add); accumulators
 /// combine as `(a0 + a1) + (a2 + a3)` and the tail past the last full
 /// block adds sequentially onto that sum.
 ///
-/// indexing-ok: the only checked indexing left is the prefetch's
-/// `cols[b + PREFETCH_DIST]` behind its explicit `< n` guard.
-///
 /// # Safety
-/// Same contract as [`InnerLoop::row_sum_unchecked`].
+/// `cols.len() == vals.len()` and every entry of `cols` indexes in
+/// bounds of `x`.
 #[inline(always)]
-unsafe fn row_sum_classic<const ACC: usize, const PREFETCH: bool>(
-    cols: &[u32],
-    vals: &[f64],
-    x: &[f64],
-) -> f64 {
+unsafe fn row_sum_classic<const ACC: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     debug_assert_eq!(cols.len(), vals.len());
     let n = cols.len();
     let mut acc = [0.0f64; ACC];
     let blocks = n / ACC;
     for k in 0..blocks {
         let b = ACC * k;
-        if PREFETCH && b + PREFETCH_DIST < n {
-            prefetch_x(x, cols[b + PREFETCH_DIST] as usize);
-        }
         for (lane, a) in acc.iter_mut().enumerate() {
             // SAFETY: b + lane < ACC * blocks <= n == cols.len() ==
             // vals.len(); the validated column is < x.len() (contract).
@@ -149,25 +216,26 @@ unsafe fn row_sum_classic<const ACC: usize, const PREFETCH: bool>(
 /// Issues a prefetch-to-L1 hint for `x[col]` on x86-64; a no-op on
 /// other architectures.
 ///
+/// The address is formed with `wrapping_add`, so no bound is needed:
+/// a hint never dereferences and never faults, whatever the address.
+/// A per-hint `col < x.len()` guard cost the heat stencil's lookahead
+/// about a tenth of its SpMV time.
+///
 /// simd-ok: a bare cache hint with no lane arithmetic — there is no
 /// scalar twin for the micro/ identity tests to compare against, so
 /// the intrinsic stays with the traversal it serves.
 ///
-/// witness-ok: the `col < x.len()` guard below re-establishes the
-/// pointer bound locally; no witness is needed for a hint that never
-/// dereferences.
+/// witness-ok: the hint never dereferences, so no bound on `col` is
+/// needed and no witness either.
 #[inline(always)]
 fn prefetch_x(x: &[f64], col: usize) {
     #[cfg(target_arch = "x86_64")]
     {
-        if col < x.len() {
-            // SAFETY: the pointer is in (or one past) bounds of `x`;
-            // prefetch has no architectural side effects either way.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    x.as_ptr().add(col).cast::<i8>(),
-                );
-            }
+        let p = x.as_ptr().wrapping_add(col).cast::<i8>();
+        // SAFETY: prefetch has no architectural side effects and
+        // never faults, on any address.
+        unsafe {
+            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p);
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -221,19 +289,14 @@ impl<'a> CsrKernel<'a> {
     /// A SIMD [`InnerLoop::Micro`] spec whose gather cannot address
     /// the matrix's columns (`ncols > i32::MAX`) is downgraded to its
     /// bitwise-identical scalar fallback, preserving the unchecked
-    /// contract of [`InnerLoop::row_sum_unchecked`].
+    /// contract of the row traversal.
     pub fn with_options(
         a: &'a Csr,
         nthreads: usize,
         schedule: Schedule,
         flavor: InnerLoop,
     ) -> CsrKernel<'a> {
-        let flavor = match flavor {
-            InnerLoop::Micro(spec) if !crate::micro::gather_compatible(a.ncols()) => {
-                InnerLoop::Micro(spec.scalar_fallback())
-            }
-            other => other,
-        };
+        let flavor = flavor.gather_checked(a.ncols());
         let a = MaybeValidated::new(a);
         let plan = witness_plan(&a, schedule, nthreads, |a| a.rowptr());
         let label = KernelConfig { format: Format::Csr, row: flavor, schedule }.id();
@@ -272,18 +335,6 @@ impl<'a> CsrKernel<'a> {
     pub fn is_validated(&self) -> bool {
         self.a.is_validated()
     }
-
-    fn worker(&self, a: &Csr, range: Range<usize>, x: &[f64], y: YPtr) {
-        let flavor = self.flavor;
-        for i in range {
-            let (cols, vals) = a.row(i);
-            // SAFETY: this path is only reached with a Validated witness
-            // (row_sum_unchecked's contract: columns < ncols == x.len());
-            // `execute` hands each worker disjoint row ranges and `y`
-            // points at a live buffer of `nrows` elements.
-            unsafe { y.write(i, flavor.row_sum_unchecked(cols, vals, x)) };
-        }
-    }
 }
 
 impl SpmvKernel for CsrKernel<'_> {
@@ -296,7 +347,11 @@ impl SpmvKernel for CsrKernel<'_> {
                 let a = *v.get();
                 let yp = YPtr(y.as_mut_ptr());
                 self.plan.execute_labeled(&self.label, |range| {
-                    self.worker(a, range, x, yp);
+                    // SAFETY: the matrix carries a Validated witness and
+                    // x.len() == ncols (asserted above); `execute` hands
+                    // each worker disjoint row ranges of a live `y` of
+                    // `nrows` elements; the flavor is gather-checked.
+                    unsafe { self.flavor.run_rows(a, range, x, yp) };
                 })
             }
             MaybeValidated::Unvalidated(a) => checked_fallback(self.plan.nthreads(), || {
@@ -432,18 +487,77 @@ mod tests {
             let cols: Vec<u32> = (0..len).map(|_| rng.gen_range(0..512u32)).collect();
             let vals: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let x: Vec<f64> = (0..512).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            for flavor in [
-                InnerLoop::Scalar,
-                InnerLoop::Unrolled,
-                InnerLoop::Prefetch,
-                InnerLoop::UnrolledPrefetch,
-            ] {
-                let unrolled = matches!(flavor, InnerLoop::Unrolled | InnerLoop::UnrolledPrefetch);
+            for unrolled in [false, true] {
                 let want = reference_flavor(unrolled, &cols, &vals, &x);
                 // SAFETY: cols and vals have equal lengths and every
                 // column is below 512 == x.len().
-                let got = unsafe { flavor.row_sum_unchecked(&cols, &vals, &x) };
-                assert_eq!(got.to_bits(), want.to_bits(), "{flavor:?} len {len}");
+                let got = unsafe {
+                    if unrolled {
+                        row_sum_classic::<4>(&cols, &vals, &x)
+                    } else {
+                        row_sum_classic::<1>(&cols, &vals, &x)
+                    }
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "unrolled {unrolled} len {len}");
+            }
+        }
+    }
+
+    /// The lookahead flavors equal their twins bit for bit through
+    /// both kernels on the one traversal, at 1–3 threads under every
+    /// schedule. The small matrix holds fewer nonzeros than
+    /// [`PREFETCH_DIST`], so every row and every static, dynamic or
+    /// guided range is shorter than the distance and the lookahead is
+    /// clipped at each range end (the traversal's `debug_assert!`
+    /// checks it never leaves the range); the large one adds rows
+    /// longer than the distance.
+    #[test]
+    fn lookahead_flavors_match_their_twins_bitwise() {
+        use crate::decomposed::DecomposedKernel;
+        use spmv_sparse::DecomposedCsr;
+
+        let small = gen::circuit(20, 1, 0.5, 5, 17).unwrap();
+        let large = gen::circuit(3000, 3, 0.4, 5, 17).unwrap();
+        assert!(small.nnz() < PREFETCH_DIST, "{}", small.nnz());
+        assert!((0..large.nrows()).any(|i| large.row_nnz(i) > PREFETCH_DIST));
+        let schedules = [
+            Schedule::StaticRows,
+            Schedule::NnzBalanced,
+            Schedule::Dynamic { chunk: 8 },
+            Schedule::Guided,
+        ];
+        let pairs = [
+            (InnerLoop::Scalar, InnerLoop::Prefetch),
+            (InnerLoop::Unrolled, InnerLoop::UnrolledPrefetch),
+        ];
+        for a in [&small, &large] {
+            let x = random_x(a.ncols(), 3);
+            let product = |k: &dyn SpmvKernel| -> Vec<u64> {
+                let mut y = vec![f64::NAN; a.nrows()];
+                k.run(&x, &mut y);
+                y.iter().map(|v| v.to_bits()).collect()
+            };
+            for nthreads in 1..=3 {
+                for schedule in schedules {
+                    for (twin, lookahead) in pairs {
+                        let csr = |f| CsrKernel::with_options(a, nthreads, schedule, f);
+                        let want = product(&csr(twin));
+                        assert_eq!(
+                            product(&csr(lookahead)),
+                            want,
+                            "csr {lookahead:?} {schedule:?} at {nthreads} threads"
+                        );
+                        let decomp = |f| {
+                            let d = DecomposedCsr::split(a, 32).unwrap();
+                            DecomposedKernel::new(d, nthreads, schedule, f)
+                        };
+                        assert_eq!(
+                            product(&decomp(lookahead)),
+                            product(&decomp(twin)),
+                            "decomposed {lookahead:?} {schedule:?} at {nthreads} threads"
+                        );
+                    }
+                }
             }
         }
     }
@@ -453,7 +567,7 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         prefetch_x(&x, 0);
         prefetch_x(&x, 2);
-        prefetch_x(&x, 100); // out of range: guarded, no-op
+        prefetch_x(&x, 100); // out of range: a hint, never dereferenced
         assert_eq!(x, [1.0, 2.0, 3.0]);
     }
 

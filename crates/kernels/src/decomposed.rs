@@ -2,12 +2,12 @@
 //! optimization for highly uneven row lengths (paper Fig. 6).
 //!
 //! Phase 1 runs the usual row-parallel SpMV over the short part
-//! (long rows are present but empty, so their `y` entries are written
-//! as 0 and then overwritten). Phase 2 computes every long row with
+//! through the CSR kernels' one row traversal (long rows are present
+//! but empty, so their `y` entries are written as 0 and then
+//! overwritten). Phase 2 computes every long row with
 //! *all* threads: each thread takes an element chunk of each long
 //! row, and the partial sums are reduced afterwards.
 
-use std::ops::Range;
 use std::sync::Mutex;
 
 use spmv_sparse::{DecomposedCsr, MaybeValidated};
@@ -44,6 +44,7 @@ impl DecomposedKernel {
     ) -> DecomposedKernel {
         let d = MaybeValidated::new(d);
         let plan = witness_plan(&d, schedule, nthreads, |d| d.short().rowptr());
+        let flavor = flavor.gather_checked(d.get().ncols());
         DecomposedKernel { d, plan, flavor }
     }
 
@@ -66,18 +67,6 @@ impl DecomposedKernel {
     /// kernel therefore runs the parallel unchecked fast path).
     pub fn is_validated(&self) -> bool {
         self.d.is_validated()
-    }
-
-    fn short_worker(&self, d: &DecomposedCsr, range: Range<usize>, x: &[f64], y: YPtr) {
-        let short = d.short();
-        for i in range {
-            let (cols, vals) = short.row(i);
-            // SAFETY: this path is only reached with a Validated
-            // witness (the short part's columns are < ncols ==
-            // x.len()); `execute` hands each worker disjoint row
-            // ranges and the buffer is live.
-            unsafe { y.write(i, self.flavor.row_sum_unchecked(cols, vals, x)) };
-        }
     }
 
     /// Phase 2: computes all long rows with an all-threads split and
@@ -134,7 +123,12 @@ impl SpmvKernel for DecomposedKernel {
                 let d = v.get();
                 let yp = YPtr(y.as_mut_ptr());
                 let mut times = self.plan.execute(|range| {
-                    self.short_worker(d, range, x, yp);
+                    // SAFETY: the decomposition carries a Validated
+                    // witness (the short part's columns are < ncols ==
+                    // x.len(), asserted above); `execute` hands each
+                    // worker disjoint row ranges of a live `y` of
+                    // `nrows` elements; the flavor is gather-checked.
+                    unsafe { self.flavor.run_rows(d.short(), range, x, yp) };
                 });
                 let long_secs = self.long_phase(d, x, y);
                 for (a, b) in times.seconds.iter_mut().zip(long_secs) {

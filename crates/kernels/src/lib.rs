@@ -7,7 +7,7 @@
 //! | paper class | optimization | module |
 //! |---|---|---|
 //! | `MB` | column-index delta compression + vectorization | [`compressed`] |
-//! | `ML` | software prefetching of `x` | [`baseline`] (row kernel) |
+//! | `ML` | software prefetching of `x` along the flat nonzero stream | [`baseline`] (row kernel) |
 //! | `IMB` | long-row decomposition / `auto` scheduling | [`decomposed`], [`schedule`] |
 //! | `CMP` | inner-loop unrolling + vectorization | [`baseline`] (row kernel) |
 //!

@@ -17,9 +17,9 @@
 //!   with `SPMV_FORCE_SCALAR=1` without perturbing a single result.
 //!
 //! Safety follows the workspace's validated-witness design: the
-//! unchecked entry points carry the same contract as
-//! [`crate::baseline::InnerLoop::row_sum_unchecked`] (columns in
-//! bounds of `x`, proven once by `spmv_sparse::Validated`), plus the
+//! unchecked entry points carry the same contract as the CSR row
+//! traversal in [`crate::baseline`] (columns in bounds of `x`, proven
+//! once by `spmv_sparse::Validated`), plus the
 //! gather-specific requirement that columns fit in `i32`
 //! ([`gather_compatible`]). A [`MicroSpec`] with `simd == true` can
 //! only be constructed through [`MicroSpec::simd`], which performs

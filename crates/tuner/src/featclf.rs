@@ -154,10 +154,23 @@ pub fn per_class_metrics(predictions: &[ClassSet], labels: &[ClassSet]) -> Vec<C
         .collect()
 }
 
+/// f64 values per 64-byte cache line: rows averaging fewer nonzeros
+/// than this count as short in [`heuristic_classify`]'s multicore
+/// `ML` rule.
+const LINE_VALUES: f64 = 8.0;
+
 /// Untrained fallback: a hand-written approximation of the decision
 /// rules a trained tree converges to, for library users who want a
 /// working feature-guided optimizer without shipping a training
 /// corpus. Matches the paper's qualitative reasoning per class.
+///
+/// `ML` needs strong per-row irregularity of the `x` accesses
+/// (`misses_avg / nnz_avg > 0.25`). A many-core machine, whose
+/// in-order cores stall on every miss, always reports it. A multicore
+/// machine reports it only when the working set also leaves the LLC
+/// and rows average under one cache line of values
+/// (`nnz_avg < 8`): an out-of-order core already overlaps the `x`
+/// misses of long rows, but short rows end before it can look ahead.
 pub fn heuristic_classify(f: &FeatureVector, machine_is_many_core: bool) -> ClassSet {
     let mut set = ClassSet::EMPTY;
     let avg = f.nnz_avg.max(1.0);
@@ -167,9 +180,11 @@ pub fn heuristic_classify(f: &FeatureVector, machine_is_many_core: bool) -> Clas
         set = set.with(Bottleneck::IMB).with(Bottleneck::CMP);
     }
     // Strong per-row irregularity: latency-bound accesses to x; far
-    // more damaging on many-core platforms.
+    // more damaging on many-core platforms, and on multicore ones
+    // only for short rows streamed from DRAM.
     let miss_rate = f.misses_avg / avg;
-    if miss_rate > 0.25 && machine_is_many_core {
+    let short_rows_from_dram = f.size_fits_llc < 0.5 && f.nnz_avg < LINE_VALUES;
+    if miss_rate > 0.25 && (machine_is_many_core || short_rows_from_dram) {
         set = set.with(Bottleneck::ML);
     }
     // Row-length variance without dense rows: computational
@@ -261,6 +276,48 @@ mod tests {
         let f = fv(&random);
         assert!(heuristic_classify(&f, true).contains(Bottleneck::ML));
         assert!(!heuristic_classify(&f, false).contains(Bottleneck::ML));
+    }
+
+    /// Features on the host model's LLC and line, classified as a
+    /// multicore machine.
+    fn host_classes(a: &spmv_sparse::Csr) -> (FeatureVector, ClassSet) {
+        let host = spmv_machine::MachineModel::host();
+        let f = FeatureVector::extract(a, host.llc_bytes(), host.line_elems());
+        (f, heuristic_classify(&f, false))
+    }
+
+    /// A 7-point stencil with its numbering jittered in 4096-row
+    /// windows, as in the DRAM heat-step benchmark.
+    fn jittered_stencil(n: usize) -> spmv_sparse::Csr {
+        let a = gen::stencil_3d(n, n, n).unwrap();
+        let perm = gen::jittered_permutation(a.nrows(), 4096, 1);
+        gen::permute_symmetric(&a, &perm).unwrap()
+    }
+
+    #[test]
+    fn heuristic_multicore_ml_for_short_rows_from_dram() {
+        let (f, set) = host_classes(&jittered_stencil(48));
+        assert_eq!(f.size_fits_llc, 0.0);
+        assert!(f.nnz_avg < LINE_VALUES, "{}", f.nnz_avg);
+        assert_eq!(set, ClassSet::of(&[Bottleneck::ML]), "{set}");
+        let pref = spmv_kernels::KernelVariant::BASELINE.with(spmv_kernels::Optimization::Prefetch);
+        assert_eq!(set.to_variant(&f), pref);
+    }
+
+    #[test]
+    fn heuristic_multicore_no_ml_when_cache_resident() {
+        let (f, set) = host_classes(&jittered_stencil(20));
+        assert_eq!(f.size_fits_llc, 1.0);
+        assert!(f.misses_avg / f.nnz_avg > 0.25);
+        assert!(!set.contains(Bottleneck::ML), "{set}");
+    }
+
+    #[test]
+    fn heuristic_multicore_no_ml_for_long_rows_from_dram() {
+        let (f, set) = host_classes(&gen::random_uniform(60_000, 12, 3).unwrap());
+        assert_eq!(f.size_fits_llc, 0.0);
+        assert!(f.misses_avg / f.nnz_avg > 0.25);
+        assert!(!set.contains(Bottleneck::ML), "{set}");
     }
 
     #[test]
