@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use spmv_sparse::{gen, Csr, DecomposedCsr, DeltaCsr, EllHybrid};
+use spmv_sparse::{gen, Csr, DecomposedCsr, DeltaCsr};
 
 fn bench_conversions(c: &mut Criterion) {
     let banded = gen::banded(60_000, 24, 0.9, 1).expect("valid");
@@ -18,10 +18,6 @@ fn bench_conversions(c: &mut Criterion) {
     });
     group.bench_function("decompose/circuit", |b| {
         b.iter(|| black_box(DecomposedCsr::split(black_box(&circuit), 128).expect("threshold")));
-    });
-    group.bench_function("ell_hybrid/banded", |b| {
-        let w = EllHybrid::auto_width(&banded);
-        b.iter(|| black_box(EllHybrid::from_csr(black_box(&banded), w)));
     });
     group.bench_function("coo_to_csr/banded", |b| {
         let coo = banded.to_coo();

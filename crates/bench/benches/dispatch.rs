@@ -1,48 +1,27 @@
-//! Criterion: spawn-per-call vs persistent-pool dispatch overhead.
+//! Criterion: persistent-pool dispatch overhead.
 //!
-//! Measures the same nnz-balanced scalar CSR SpMV through the two
-//! execution paths the kernels crate offers:
-//!
-//! * `spawn`  — the legacy `execute_spawn` strategy (scoped OS
-//!   threads created on every call, partition recomputed);
-//! * `pooled` — a `CsrKernel` holding a precomputed `Plan` dispatched
-//!   on the persistent `ExecEngine` team.
-//!
-//! On the small matrix (~10k nnz) per-call overhead dominates, so the
-//! gap *is* the dispatch cost; on the large matrix (~5M nnz) compute
-//! dominates and the two paths must be indistinguishable. Besides the
-//! criterion groups, `overhead_report` prints the measured per-call
-//! overhead directly.
+//! Measures the nnz-balanced scalar CSR SpMV (`pooled`: a `CsrKernel`
+//! holding a precomputed `Plan`, dispatched on the persistent
+//! `ExecEngine` team) at 1, 4 and 8 threads. On the small matrix
+//! (~10k nnz) compute is negligible, so the per-call time *is* the
+//! dispatch cost; on the large matrix (~5M nnz) compute dominates.
+//! Besides the criterion groups, `overhead_report` prints the
+//! measured per-call time directly.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use spmv_kernels::baseline::{row_sum_scalar, CsrKernel};
-use spmv_kernels::schedule::{execute_spawn, Schedule, YPtr};
+use spmv_kernels::baseline::CsrKernel;
 use spmv_kernels::variant::SpmvKernel;
 use spmv_sparse::{gen, Csr};
-
-/// One SpMV through the legacy spawn-per-call path (fresh scoped
-/// threads, partition recomputed) — byte-for-byte the same inner loop
-/// as the pooled baseline kernel.
-fn spmv_spawn(a: &Csr, nthreads: usize, x: &[f64], y: &mut [f64]) {
-    let yp = YPtr(y.as_mut_ptr());
-    execute_spawn(Schedule::NnzBalanced, a.rowptr(), nthreads, |range| {
-        for i in range {
-            let (cols, vals) = a.row(i);
-            // SAFETY: disjoint ranges from `execute_spawn`.
-            unsafe { yp.write(i, row_sum_scalar(cols, vals, x)) };
-        }
-    });
-}
 
 fn cases() -> Vec<(&'static str, Csr)> {
     vec![
         // ~10k nnz: dispatch overhead dominates.
         ("small", gen::banded(2_000, 2, 1.0, 1).expect("valid")),
-        // ~5M nnz: compute dominates; the paths must tie.
+        // ~5M nnz: compute dominates.
         ("large", gen::banded(250_000, 10, 1.0, 2).expect("valid")),
     ]
 }
@@ -54,9 +33,6 @@ fn bench_dispatch(c: &mut Criterion) {
         let x = vec![1.0f64; a.ncols()];
         let mut y = vec![0.0f64; a.nrows()];
         for &nthreads in &[1usize, 4, 8] {
-            group.bench_with_input(BenchmarkId::new("spawn", nthreads), &nthreads, |b, &t| {
-                b.iter(|| spmv_spawn(a, t, black_box(&x), black_box(&mut y)));
-            });
             let pooled = CsrKernel::baseline(a, nthreads);
             group.bench_with_input(BenchmarkId::new("pooled", nthreads), &nthreads, |b, _| {
                 b.iter(|| pooled.run(black_box(&x), black_box(&mut y)));
@@ -76,9 +52,8 @@ fn mean_per_call<F: FnMut()>(mut f: F, calls: usize) -> f64 {
     t0.elapsed().as_secs_f64() / calls as f64
 }
 
-/// Prints the measured per-call dispatch overhead: the small-matrix
-/// gap between spawn and pooled execution, where SpMV compute is
-/// negligible and dispatch is everything.
+/// Prints the measured per-call time; on the small matrix SpMV
+/// compute is negligible and dispatch is everything.
 fn overhead_report(_c: &mut Criterion) {
     println!("\nper-call dispatch cost (nnz-balanced scalar CSR):");
     for (name, a) in &cases() {
@@ -86,15 +61,9 @@ fn overhead_report(_c: &mut Criterion) {
         let x = vec![1.0f64; a.ncols()];
         let mut y = vec![0.0f64; a.nrows()];
         for &nthreads in &[1usize, 4, 8] {
-            let spawn = mean_per_call(|| spmv_spawn(a, nthreads, &x, &mut y), calls);
             let pooled_kernel = CsrKernel::baseline(a, nthreads);
             let pooled = mean_per_call(|| pooled_kernel.run(&x, &mut y), calls);
-            println!(
-                "  {name:>5} t={nthreads}: spawn {:>10.2} us  pooled {:>10.2} us  ratio {:.1}x",
-                spawn * 1e6,
-                pooled * 1e6,
-                spawn / pooled.max(1e-12),
-            );
+            println!("  {name:>5} t={nthreads}: pooled {:>10.2} us", pooled * 1e6);
         }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! One traversal (`InnerLoop::run_rows`) runs every row kernel of
 //! the kernel space over a worker's rows, for [`CsrKernel`] and for
-//! the short phase of [`crate::decomposed::DecomposedKernel`]. The
+//! the short phase of [`crate::decomposed::DecomposedKernel`], against
+//! one vector or a batch of up to [`MAX_BATCH`] at once. The
 //! four classic flavors share one generic loop: the scalar loop or
 //! the `CMP`-class 4-way unrolled loop, either one optionally behind
 //! the `ML`-class software prefetch of `x`. As in the paper's
@@ -100,42 +101,83 @@ impl InnerLoop {
         }
     }
 
-    /// Writes `y[i]` = row `i` of `a` times `x` for every `i` in
-    /// `rows`, bounds checks on `x` elided: the one CSR row traversal.
+    /// Writes `ys[j][i]` = row `i` of `a` times `xs[j]` for every `i`
+    /// in `rows` and each of the `K` vectors, bounds checks on `x`
+    /// elided: the one CSR row traversal. A single SpMV is `K = 1`.
     /// The flavor is matched once per call, so every row loop below
     /// is monomorphic.
     ///
+    /// # Panics
+    /// Unless `xs.len() == ys.len() == K`.
+    ///
     /// # Safety
     /// `a` carries a [`spmv_sparse::Validated`] witness (every column
-    /// is below `ncols`) and `x.len() == a.ncols()`; `rows` lies in
-    /// `0..a.nrows()`; `y` points at a live buffer of `a.nrows()`
-    /// elements whose entries in `rows` the caller owns exclusively
-    /// for the call. For a SIMD [`InnerLoop::Micro`] flavor, columns
-    /// must additionally fit in `i32` (see
+    /// is below `ncols`) and every `x.len() == a.ncols()`; `rows` lies
+    /// in `0..a.nrows()`; every `y` points at a live buffer of
+    /// `a.nrows()` elements whose entries in `rows` the caller owns
+    /// exclusively for the call. For a SIMD [`InnerLoop::Micro`]
+    /// flavor, columns must additionally fit in `i32` (see
     /// [`crate::micro::gather_compatible`]).
     #[inline]
-    pub(crate) unsafe fn run_rows(self, a: &Csr, rows: Range<usize>, x: &[f64], y: YPtr) {
+    pub(crate) unsafe fn run_rows<const K: usize>(
+        self,
+        a: &Csr,
+        rows: Range<usize>,
+        xs: &[&[f64]],
+        ys: &[YPtr],
+    ) {
+        // Copies, not references into the caller's slices: the
+        // vectors' pointers then stay in registers across the row
+        // loop instead of being reloaded around every store to `y`.
+        let xs: [&[f64]; K] = xs.try_into().expect("K input vectors");
+        let ys: [YPtr; K] = ys.try_into().expect("K output vectors");
         // SAFETY: each arm forwards the caller's contract unchanged.
         unsafe {
             match self {
-                InnerLoop::Scalar => csr_rows::<1, false>(a, rows, x, y),
-                InnerLoop::Unrolled => csr_rows::<4, false>(a, rows, x, y),
-                InnerLoop::Prefetch => csr_rows::<1, true>(a, rows, x, y),
-                InnerLoop::UnrolledPrefetch => csr_rows::<4, true>(a, rows, x, y),
+                InnerLoop::Scalar => csr_rows::<1, false, K>(a, rows, &xs, &ys),
+                InnerLoop::Unrolled => csr_rows::<4, false, K>(a, rows, &xs, &ys),
+                InnerLoop::Prefetch => csr_rows::<1, true, K>(a, rows, &xs, &ys),
+                InnerLoop::UnrolledPrefetch => csr_rows::<4, true, K>(a, rows, &xs, &ys),
                 InnerLoop::Micro(spec) => {
                     for i in rows {
                         let (cols, vals) = a.row(i);
-                        y.write(i, spec.row_sum_unchecked(cols, vals, x));
+                        for (x, y) in xs.iter().zip(ys) {
+                            y.write(i, spec.row_sum_unchecked(cols, vals, x));
+                        }
                     }
                 }
             }
         }
     }
+
+    /// [`InnerLoop::run_rows`] over any number of vectors, in groups
+    /// of at most [`MAX_BATCH`]: each group is one pass over `rows`.
+    ///
+    /// # Safety
+    /// As [`InnerLoop::run_rows`], with `xs.len() == ys.len()`.
+    unsafe fn run_rows_batch(self, a: &Csr, rows: Range<usize>, xs: &[&[f64]], ys: &[YPtr]) {
+        for (xs, ys) in xs.chunks(MAX_BATCH).zip(ys.chunks(MAX_BATCH)) {
+            let run = match xs.len() {
+                1 => InnerLoop::run_rows::<1>,
+                2 => InnerLoop::run_rows::<2>,
+                3 => InnerLoop::run_rows::<3>,
+                4 => InnerLoop::run_rows::<4>,
+                5 => InnerLoop::run_rows::<5>,
+                6 => InnerLoop::run_rows::<6>,
+                7 => InnerLoop::run_rows::<7>,
+                8 => InnerLoop::run_rows::<8>,
+                _ => unreachable!("groups hold 1..={MAX_BATCH} vectors"),
+            };
+            // SAFETY: the caller's contract, for a group of `K` vectors.
+            unsafe { run(self, a, rows.clone(), xs, ys) };
+        }
+    }
 }
 
 /// The classic traversal behind the four non-micro flavors: each row
-/// summed by [`row_sum_classic`] with `ACC` accumulators and, with
-/// `LOOKAHEAD`, preceded by a prefetch of `x[colind[k]]` for `k` in
+/// summed against all `K` vectors by [`row_sum_classic`] with `ACC`
+/// accumulators per vector and, with `LOOKAHEAD`, preceded by a
+/// prefetch of every `x[colind[k]]` for `k` in
 /// `rowptr[i] + D .. rowptr[i + 1] + D` (D = [`PREFETCH_DIST`]),
 /// clipped to the last nonzero of `rows`. Over a range, every
 /// nonzero past its first D is hinted exactly once whatever the row
@@ -146,11 +188,11 @@ impl InnerLoop {
 /// # Safety
 /// Same contract as [`InnerLoop::run_rows`].
 #[inline(always)]
-unsafe fn csr_rows<const ACC: usize, const LOOKAHEAD: bool>(
+unsafe fn csr_rows<const ACC: usize, const LOOKAHEAD: bool, const K: usize>(
     a: &Csr,
     rows: Range<usize>,
-    x: &[f64],
-    y: YPtr,
+    xs: &[&[f64]; K],
+    ys: &[YPtr; K],
 ) {
     let (rowptr, colind, values) = (a.rowptr(), a.colind(), a.values());
     let stream_end = rowptr[rows.end];
@@ -163,54 +205,76 @@ unsafe fn csr_rows<const ACC: usize, const LOOKAHEAD: bool>(
                 "lookahead {ahead:?} leaves the range's nonzeros ..{stream_end}"
             );
             for &c in &colind[ahead] {
-                prefetch_x(x, c as usize);
+                for x in xs {
+                    prefetch_x(x, c as usize);
+                }
             }
         }
         // SAFETY: row i of a validated matrix (caller's contract): its
         // columns are < ncols == x.len(), and the caller owns y[i].
-        unsafe { y.write(i, row_sum_classic::<ACC>(&colind[s..e], &values[s..e], x)) };
+        let sums = unsafe { row_sum_classic::<ACC, K>(&colind[s..e], &values[s..e], xs) };
+        for (y, sum) in ys.iter().zip(sums) {
+            // SAFETY: the caller owns row i of every y.
+            unsafe { y.write(i, sum) };
+        }
     }
 }
 
-/// The classic row loop: `ACC` independent accumulators (1 = the
-/// paper's Fig. 2 scalar loop, 4 = the unrolled loop the compiler
-/// autovectorizes).
+/// The classic row loop over `K` vectors: `ACC` independent
+/// accumulators per vector (1 = the paper's Fig. 2 scalar loop, 4 =
+/// the unrolled loop the compiler autovectorizes). Each nonzero is
+/// loaded once and multiplied into all `K` sums.
 ///
 /// Separate multiply and add (no fused multiply-add); accumulators
 /// combine as `(a0 + a1) + (a2 + a3)` and the tail past the last full
-/// block adds sequentially onto that sum.
+/// block adds sequentially onto that sum. Each vector's sum sees the
+/// same operations in the same order whatever `K`, so it is bitwise
+/// the `K = 1` sum.
 ///
 /// # Safety
 /// `cols.len() == vals.len()` and every entry of `cols` indexes in
-/// bounds of `x`.
+/// bounds of every `x`.
 #[inline(always)]
-unsafe fn row_sum_classic<const ACC: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+unsafe fn row_sum_classic<const ACC: usize, const K: usize>(
+    cols: &[u32],
+    vals: &[f64],
+    xs: &[&[f64]; K],
+) -> [f64; K] {
     debug_assert_eq!(cols.len(), vals.len());
     let n = cols.len();
-    let mut acc = [0.0f64; ACC];
+    let mut acc = [[0.0f64; K]; ACC];
     let blocks = n / ACC;
     for k in 0..blocks {
         let b = ACC * k;
-        for (lane, a) in acc.iter_mut().enumerate() {
+        for (lane, acc) in acc.iter_mut().enumerate() {
             // SAFETY: b + lane < ACC * blocks <= n == cols.len() ==
-            // vals.len(); the validated column is < x.len() (contract).
-            *a += unsafe {
-                *vals.get_unchecked(b + lane)
-                    * *x.get_unchecked(*cols.get_unchecked(b + lane) as usize)
-            };
+            // vals.len().
+            let (c, v) =
+                unsafe { (*cols.get_unchecked(b + lane) as usize, *vals.get_unchecked(b + lane)) };
+            // A counted `while` rather than a range `for`: unoptimized
+            // builds then pay no iterator calls per nonzero.
+            let mut j = 0;
+            while j < K {
+                // SAFETY: the validated column is < x.len() (contract).
+                acc[j] += v * unsafe { *xs[j].get_unchecked(c) };
+                j += 1;
+            }
         }
     }
-    let mut sum = match acc.as_slice() {
-        [a0, a1, a2, a3] => (a0 + a1) + (a2 + a3),
+    let mut sums = match acc.as_slice() {
+        [a0, a1, a2, a3] => std::array::from_fn(|j| (a0[j] + a1[j]) + (a2[j] + a3[j])),
         [a0] => *a0,
         _ => unreachable!("the classic flavors use 1 or 4 accumulators"),
     };
     for k in ACC * blocks..n {
-        // SAFETY: k < n; the validated column is < x.len() (contract).
-        sum +=
-            unsafe { *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize) };
+        // SAFETY: k < n == cols.len() == vals.len().
+        let (c, v) = unsafe { (*cols.get_unchecked(k) as usize, *vals.get_unchecked(k)) };
+        for j in 0..K {
+            // SAFETY: the validated column is < x.len() (contract).
+            sums[j] += v * unsafe { *xs[j].get_unchecked(c) };
+        }
     }
-    sum
+    sums
 }
 
 /// Issues a prefetch-to-L1 hint for `x[col]` on x86-64; a no-op on
@@ -335,7 +399,63 @@ impl<'a> CsrKernel<'a> {
     pub fn is_validated(&self) -> bool {
         self.a.is_validated()
     }
+
+    /// Computes `ys[j] = A · xs[j]` for `k` vectors in one dispatch of
+    /// the kernel's plan: SpMV over a batch that shares one pass over
+    /// the matrix. The row loop loads each nonzero once and multiplies
+    /// it into all `k` row sums, so a batch of up to [`MAX_BATCH`]
+    /// vectors streams the matrix once; wider batches take one pass
+    /// per group of `MAX_BATCH`.
+    ///
+    /// Each vector's row sums take the same operations in the same
+    /// order as a single-vector run, so each `ys[j]` is bitwise what
+    /// [`SpmvKernel::run`] writes for `xs[j]`; for the scalar flavor
+    /// that is bitwise [`Csr::spmv`]. An unvalidated matrix runs
+    /// `Csr::spmv` serially per vector, as [`SpmvKernel::run_timed`]
+    /// does.
+    ///
+    /// # Panics
+    /// On shape mismatch, `k == 0`, or `xs.len() != ys.len()`.
+    pub fn run_multi(&self, xs: &[&[f64]], ys: &mut [Vec<f64>]) -> ThreadTimes {
+        let a = *self.a.get();
+        assert!(!xs.is_empty(), "batch width must be at least 1");
+        assert_eq!(ys.len(), xs.len(), "one output vector per input vector");
+        for x in xs {
+            assert_eq!(x.len(), a.ncols(), "x length");
+        }
+        for y in ys.iter() {
+            assert_eq!(y.len(), a.nrows(), "y length");
+        }
+        match &self.a {
+            MaybeValidated::Validated(v) => {
+                let a = *v.get();
+                let yps: Vec<YPtr> = ys.iter_mut().map(|y| YPtr(y.as_mut_ptr())).collect();
+                self.plan.execute_labeled(&self.label, |range| {
+                    // SAFETY: as in `run_timed`, for each of the `k`
+                    // vectors: validated matrix, every `x.len() ==
+                    // ncols` and every `y` a live `nrows` buffer
+                    // (asserted above); `execute` hands each worker
+                    // disjoint row ranges; the flavor is gather-checked.
+                    unsafe { self.flavor.run_rows_batch(a, range, xs, &yps) };
+                })
+            }
+            MaybeValidated::Unvalidated(a) => checked_fallback(self.plan.nthreads(), || {
+                for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                    a.spmv(x, y);
+                }
+            }),
+        }
+    }
 }
+
+/// Largest batch width the serving plane coalesces (the default and
+/// the ceiling of its `batch_max`), and the widest group of vectors
+/// one pass of [`CsrKernel::run_multi`] serves. Each vector adds 16 B
+/// per row of `x` and `y` traffic to the matrix's 12 B per nonzero,
+/// so over rows of about ten nonzeros eight vectors already move more
+/// bytes (128 B per row) than the matrix pass they share (120 B), and
+/// wider groups save little.
+pub const MAX_BATCH: usize = 8;
 
 impl SpmvKernel for CsrKernel<'_> {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
@@ -351,7 +471,7 @@ impl SpmvKernel for CsrKernel<'_> {
                     // x.len() == ncols (asserted above); `execute` hands
                     // each worker disjoint row ranges of a live `y` of
                     // `nrows` elements; the flavor is gather-checked.
-                    unsafe { self.flavor.run_rows(a, range, x, yp) };
+                    unsafe { self.flavor.run_rows::<1>(a, range, &[x], &[yp]) };
                 })
             }
             MaybeValidated::Unvalidated(a) => checked_fallback(self.plan.nthreads(), || {
@@ -491,11 +611,11 @@ mod tests {
                 let want = reference_flavor(unrolled, &cols, &vals, &x);
                 // SAFETY: cols and vals have equal lengths and every
                 // column is below 512 == x.len().
-                let got = unsafe {
+                let [got] = unsafe {
                     if unrolled {
-                        row_sum_classic::<4>(&cols, &vals, &x)
+                        row_sum_classic::<4, 1>(&cols, &vals, &[&x])
                     } else {
-                        row_sum_classic::<1>(&cols, &vals, &x)
+                        row_sum_classic::<1, 1>(&cols, &vals, &[&x])
                     }
                 };
                 assert_eq!(got.to_bits(), want.to_bits(), "unrolled {unrolled} len {len}");
@@ -560,6 +680,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `run_multi` writes bit for bit what `run` writes, vector by
+    /// vector, for the four classic flavors and a menu microkernel
+    /// with its scalar twin, under every schedule at 1–3 threads, for
+    /// one, two and a full group of vectors and for a second, ragged
+    /// group. The matrix holds rows longer than [`PREFETCH_DIST`].
+    #[test]
+    fn run_multi_matches_run_bitwise() {
+        use crate::micro::Lanes;
+
+        let a = gen::circuit(24_000, 3, 0.8, 6, 21).unwrap();
+        assert!((0..a.nrows()).any(|i| a.row_nnz(i) > PREFETCH_DIST));
+        let spec = MicroSpec::simd(Lanes::X4, 2).unwrap_or(MicroSpec::scalar(Lanes::X4, 2));
+        let flavors = [
+            InnerLoop::Scalar,
+            InnerLoop::Unrolled,
+            InnerLoop::Prefetch,
+            InnerLoop::UnrolledPrefetch,
+            InnerLoop::Micro(spec),
+            InnerLoop::Micro(spec.scalar_fallback()),
+        ];
+        let schedules = [
+            Schedule::StaticRows,
+            Schedule::NnzBalanced,
+            Schedule::Dynamic { chunk: 4096 },
+            Schedule::Guided,
+        ];
+        let xs: Vec<Vec<f64>> = (0..MAX_BATCH + 3).map(|j| random_x(a.ncols(), j as u64)).collect();
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for flavor in flavors {
+            for schedule in schedules {
+                for nthreads in 1..=3 {
+                    let kernel = CsrKernel::with_options(&a, nthreads, schedule, flavor);
+                    let want: Vec<Vec<u64>> = xs
+                        .iter()
+                        .map(|x| {
+                            let mut y = vec![f64::NAN; a.nrows()];
+                            kernel.run(x, &mut y);
+                            bits(&y)
+                        })
+                        .collect();
+                    for k in [1, 2, MAX_BATCH, MAX_BATCH + 3] {
+                        let mut ys = vec![vec![f64::NAN; a.nrows()]; k];
+                        kernel.run_multi(&x_refs[..k], &mut ys);
+                        for (j, y) in ys.iter().enumerate() {
+                            assert!(
+                                bits(y) == want[j],
+                                "{flavor:?} {schedule:?} at {nthreads} threads, k {k}: vector {j}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `run_multi` on `k` vectors through the baseline kernel and
+    /// asserts every output is bitwise the serial reference product.
+    fn assert_multi_bitwise_serial(a: &Csr, nthreads: usize, k: usize) {
+        let xs: Vec<Vec<f64>> = (0..k).map(|j| random_x(a.ncols(), j as u64 + 1)).collect();
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let mut ys = vec![vec![0.0; a.nrows()]; k];
+        let kernel = CsrKernel::baseline(a, nthreads);
+        assert!(kernel.is_validated());
+        kernel.run_multi(&x_refs, &mut ys);
+        for (j, (x, y)) in xs.iter().zip(&ys).enumerate() {
+            let mut y_ref = vec![0.0; a.nrows()];
+            a.spmv(x, &mut y_ref);
+            for (i, (got, want)) in y.iter().zip(&y_ref).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "row {i} vector {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_multi_is_bitwise_serial() {
+        let a = gen::banded(400, 5, 0.9, 7).unwrap();
+        for nthreads in [1, 3, 4] {
+            for k in 1..=MAX_BATCH + 1 {
+                assert_multi_bitwise_serial(&a, nthreads, k);
+            }
+        }
+    }
+
+    #[test]
+    fn powerlaw_batch_matches_serial() {
+        let a = gen::powerlaw(600, 7, 2.0, 11).unwrap();
+        assert_multi_bitwise_serial(&a, 4, 6);
+    }
+
+    #[test]
+    fn run_multi_zeroes_empty_rows_in_every_output() {
+        let a = Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap();
+        let xs = [vec![1.0; 3], vec![2.0; 3], vec![0.5; 3]];
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let mut ys = vec![vec![9.0; 3]; 3];
+        CsrKernel::baseline(&a, 2).run_multi(&x_refs, &mut ys);
+        assert_eq!(ys[0], [5.0, 0.0, 7.0]);
+        assert_eq!(ys[1], [10.0, 0.0, 14.0]);
+        assert_eq!(ys[2], [2.5, 0.0, 3.5]);
+    }
+
+    #[test]
+    fn corrupt_rowptr_runs_multi_on_the_serial_checked_path() {
+        // A row pointer whose partial sums overflow must not reach the
+        // nnz-balanced partitioner: the unvalidated matrix plans over
+        // nothing, and `run_multi` runs the serial checked `Csr::spmv`,
+        // which panics on the corrupt row instead of reading past it.
+        let a = Csr::from_raw_unchecked(3, 3, vec![0, 0, usize::MAX - 1, 5], vec![0], vec![1.0]);
+        let kernel = CsrKernel::baseline(&a, 3);
+        assert!(!kernel.is_validated());
+        let x = [1.0; 3];
+        let mut ys = vec![vec![0.0; 3]; 2];
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kernel.run_multi(&[&x, &x], &mut ys)
+        }));
+        assert!(run.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "x length")]
+    fn run_multi_shape_mismatch_panics() {
+        let a = Csr::identity(4);
+        let xs = [vec![1.0; 7], vec![1.0; 7]];
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let mut ys = vec![vec![0.0; 4]; 2];
+        CsrKernel::baseline(&a, 1).run_multi(&x_refs, &mut ys);
     }
 
     #[test]

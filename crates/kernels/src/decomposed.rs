@@ -128,7 +128,7 @@ impl SpmvKernel for DecomposedKernel {
                     // x.len(), asserted above); `execute` hands each
                     // worker disjoint row ranges of a live `y` of
                     // `nrows` elements; the flavor is gather-checked.
-                    unsafe { self.flavor.run_rows(d.short(), range, x, yp) };
+                    unsafe { self.flavor.run_rows::<1>(d.short(), range, &[x], &[yp]) };
                 });
                 let long_secs = self.long_phase(d, x, y);
                 for (a, b) in times.seconds.iter_mut().zip(long_secs) {

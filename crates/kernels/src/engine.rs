@@ -174,8 +174,8 @@ impl ExecEngine {
     }
 
     /// Creates an engine whose dispatch events go to `tracer` instead
-    /// of the process-wide one. Production code uses [`new`]
-    /// (ExecEngine::new); tests inject a private buffer here so
+    /// of the process-wide one. Production code uses
+    /// [`new`](ExecEngine::new); tests inject a private buffer here so
     /// concurrent tests cannot pollute each other's captures.
     pub fn with_tracer(nthreads: usize, tracer: &'static TraceBuffer) -> ExecEngine {
         let nthreads = nthreads.max(1);
@@ -588,104 +588,6 @@ where
         trace.now_ns().saturating_sub(t0).max(1),
         rows,
     );
-}
-
-/// Legacy spawn-per-call execution: scoped OS threads created on
-/// every invocation, the strategy all kernels used before the
-/// persistent engine existed.
-///
-/// Kept (a) as an independent reference implementation for
-/// correctness tests and (b) so the dispatch bench can measure the
-/// pool's per-call saving against it. Not used by any kernel. Lives
-/// here (re-exported through [`crate::schedule`]) because `engine.rs`
-/// is the one module allowed to create threads — all parallelism goes
-/// through the engine or this documented comparison baseline.
-pub fn execute_spawn<F>(
-    schedule: Schedule,
-    rowptr: &[usize],
-    nthreads: usize,
-    worker: F,
-) -> ThreadTimes
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let nrows = rowptr.len() - 1;
-    let nthreads = nthreads.max(1);
-    let mut seconds = vec![0.0f64; nthreads];
-
-    match schedule {
-        Schedule::StaticRows | Schedule::NnzBalanced => {
-            let parts: Vec<Range<usize>> = match schedule {
-                Schedule::StaticRows => {
-                    let per = nrows.div_ceil(nthreads);
-                    (0..nthreads)
-                        .map(|t| {
-                            let s = (t * per).min(nrows);
-                            s..((t + 1) * per).min(nrows)
-                        })
-                        .collect()
-                }
-                _ => partition_rows_by_nnz(rowptr, nthreads),
-            };
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(nthreads);
-                for part in parts {
-                    let worker = &worker;
-                    handles.push(scope.spawn(move || {
-                        let t0 = Instant::now();
-                        if !part.is_empty() {
-                            worker(part);
-                        }
-                        t0.elapsed().as_secs_f64()
-                    }));
-                }
-                for (t, h) in handles.into_iter().enumerate() {
-                    seconds[t] = h.join().expect("worker panicked");
-                }
-            });
-        }
-        Schedule::Dynamic { chunk } => {
-            let chunk = chunk.max(1);
-            let next = AtomicUsize::new(0);
-            run_claiming(nthreads, &mut seconds, &worker, || {
-                // relaxed-ok: claim counter, not the dispatch
-                // handshake; atomicity of the fetch_add is all the
-                // claiming protocol needs.
-                let s = next.fetch_add(chunk, Ordering::Relaxed);
-                (s < nrows).then(|| s..(s + chunk).min(nrows))
-            });
-        }
-        Schedule::Guided => {
-            let next = AtomicUsize::new(0);
-            run_claiming(nthreads, &mut seconds, &worker, || claim_guided(&next, nrows, nthreads));
-        }
-    }
-    ThreadTimes { seconds }
-}
-
-/// Spawns `nthreads` workers that repeatedly `claim()` a range and
-/// process it until the supply is exhausted.
-fn run_claiming<F, C>(nthreads: usize, seconds: &mut [f64], worker: &F, claim: C)
-where
-    F: Fn(Range<usize>) + Sync,
-    C: Fn() -> Option<Range<usize>> + Sync,
-{
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nthreads);
-        for _ in 0..nthreads {
-            let claim = &claim;
-            handles.push(scope.spawn(move || {
-                let t0 = Instant::now();
-                while let Some(range) = claim() {
-                    worker(range);
-                }
-                t0.elapsed().as_secs_f64()
-            }));
-        }
-        for (t, h) in handles.into_iter().enumerate() {
-            seconds[t] = h.join().expect("worker panicked");
-        }
-    });
 }
 
 #[cfg(test)]

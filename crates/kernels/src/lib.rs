@@ -45,13 +45,12 @@ pub mod engine;
 pub mod micro;
 pub mod schedule;
 pub mod sliced;
-pub mod spmm;
 pub mod variant;
 
+pub use baseline::MAX_BATCH;
 pub use engine::{ExecEngine, Plan};
 pub use micro::{MenuEntry, MicroSpec};
 pub use schedule::{Schedule, ThreadTimes};
-pub use spmm::{SpmmKernel, MAX_BATCH};
 pub use variant::{
     build_kernel, build_micro_kernel, BuiltKernel, Format, KernelConfig, KernelVariant,
     Optimization, SpmvKernel,

@@ -10,15 +10,12 @@
 //! Execution itself lives in [`crate::engine`]: a [`Plan`] binds a
 //! schedule to a precomputed partition and a persistent worker pool.
 //! The free function [`execute`] is the convenience front-end that
-//! builds a throwaway plan per call; [`execute_spawn`] preserves the
-//! old spawn-per-call behaviour for overhead comparisons.
+//! builds a throwaway plan per call.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::engine::Plan;
-
-pub use crate::engine::execute_spawn;
 
 /// Row-to-thread scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,14 +44,6 @@ pub enum Schedule {
 /// one. `2` halves the per-claim share relative to an even split of
 /// the remaining rows, the classic guided-self-scheduling choice.
 pub const GUIDED_DECAY: usize = 2;
-
-impl Schedule {
-    /// Reasonable default chunk for dynamic scheduling of `nrows`.
-    pub fn default_dynamic(nrows: usize, nthreads: usize) -> Schedule {
-        let chunk = (nrows / (nthreads.max(1) * 32)).clamp(1, 4096);
-        Schedule::Dynamic { chunk }
-    }
-}
 
 /// Atomically claims the next guided chunk from `next`, or `None`
 /// once `nrows` is exhausted. Chunk sizes follow the [`GUIDED_DECAY`]
@@ -183,30 +172,19 @@ mod tests {
         (0..=nrows).map(|i| i * per_row).collect()
     }
 
-    /// Runs a schedule and checks every row is visited exactly once,
-    /// through both the pooled and the legacy spawn path.
+    /// Runs a schedule and checks every row is visited exactly once.
     fn check_coverage(schedule: Schedule, nrows: usize, nthreads: usize) {
         let rowptr = uniform_rowptr(nrows, 3);
-        for pooled in [true, false] {
-            let visits = Mutex::new(vec![0u32; nrows]);
-            let worker = |range: Range<usize>| {
-                let mut v = visits.lock().unwrap();
-                for i in range {
-                    v[i] += 1;
-                }
-            };
-            let times = if pooled {
-                execute(schedule, &rowptr, nthreads, worker)
-            } else {
-                execute_spawn(schedule, &rowptr, nthreads, worker)
-            };
-            let v = visits.into_inner().unwrap();
-            assert!(
-                v.iter().all(|&c| c == 1),
-                "{schedule:?} (pooled={pooled}): rows missed or repeated"
-            );
-            assert_eq!(times.seconds.len(), nthreads);
-        }
+        let visits = Mutex::new(vec![0u32; nrows]);
+        let times = execute(schedule, &rowptr, nthreads, |range: Range<usize>| {
+            let mut v = visits.lock().unwrap();
+            for i in range {
+                v[i] += 1;
+            }
+        });
+        let v = visits.into_inner().unwrap();
+        assert!(v.iter().all(|&c| c == 1), "{schedule:?}: rows missed or repeated");
+        assert_eq!(times.seconds.len(), nthreads);
     }
 
     #[test]
@@ -255,18 +233,6 @@ mod tests {
         let t = ThreadTimes { seconds: vec![] };
         assert_eq!(t.median(), 0.0);
         assert_eq!(t.imbalance(), 1.0);
-    }
-
-    #[test]
-    fn default_dynamic_chunk_is_bounded() {
-        match Schedule::default_dynamic(1_000_000, 8) {
-            Schedule::Dynamic { chunk } => assert!((1..=4096).contains(&chunk)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match Schedule::default_dynamic(10, 64) {
-            Schedule::Dynamic { chunk } => assert_eq!(chunk, 1),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

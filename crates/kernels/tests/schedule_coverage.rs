@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spmv_kernels::schedule::execute_spawn;
 use spmv_kernels::{Plan, Schedule};
 
 /// Builds a row pointer from per-row nonzero counts (including empty
@@ -66,23 +65,6 @@ proptest! {
             let plan = Plan::new(schedule, &rowptr, nthreads);
             let hits = tally(nrows, |worker| {
                 plan.execute(worker);
-            });
-            assert_exactly_once(&hits, schedule, nthreads);
-        }
-    }
-
-    /// The legacy spawn-per-call path must satisfy the same invariant
-    /// — it is the reference the pooled engine is checked against.
-    #[test]
-    fn spawned_execution_covers_each_row_exactly_once(
-        counts in vec(0usize..9, 1..60),
-        nthreads in 1usize..5,
-    ) {
-        let rowptr = rowptr_from_counts(&counts);
-        let nrows = counts.len();
-        for schedule in all_schedules() {
-            let hits = tally(nrows, |worker| {
-                execute_spawn(schedule, &rowptr, nthreads, worker);
             });
             assert_exactly_once(&hits, schedule, nthreads);
         }

@@ -8,19 +8,18 @@
 //! * [`mkl_csr::MklLikeCsr`] — stands in for `mkl_dcsrmv()`: a plain
 //!   parallel CSR kernel with equal-row-count static partitioning and
 //!   no structure inspection;
-//! * [`inspector::InspectorExecutor`] — stands in for the MKL
-//!   Inspector-Executor `mkl_sparse_d_mv()`: an inspection phase
-//!   analyzes row-length statistics, rebalances the partitioning, and
-//!   converts regular matrices to an ELL hybrid; its preprocessing
-//!   cost is tracked for the amortization study.
+//! * [`simulate::simulate_inspector`] — stands in for the MKL
+//!   Inspector-Executor `mkl_sparse_d_mv()` inside the `spmv-sim`
+//!   cost model: an inspection phase reads row-length statistics,
+//!   rebalances the partitioning and, for regular matrices, pays a
+//!   format conversion; its preprocessing cost is charged to the
+//!   amortization study.
 //!
-//! The [`simulate`] module mirrors both baselines inside the
-//! `spmv-sim` cost model so the multi-platform experiments can
-//! include them.
+//! The [`simulate`] module also mirrors the MKL-CSR baseline inside
+//! the cost model, so the multi-platform experiments (paper Fig. 5,
+//! Table 4) can include both.
 
-pub mod inspector;
 pub mod mkl_csr;
 pub mod simulate;
 
-pub use inspector::InspectorExecutor;
 pub use mkl_csr::MklLikeCsr;

@@ -13,9 +13,9 @@
 //!   are built once per matrix and pinned for the process lifetime;
 //! * [`scheduler`] — admission control with bounded-queue
 //!   backpressure (overload sheds with HTTP 503 instead of growing
-//!   latency), plus same-matrix request coalescing onto the
-//!   multi-vector SpMM kernel (one matrix traversal per batch, after
-//!   Nagasaka & Azad's KNL sparse products). Its producer/consumer
+//!   latency), plus same-matrix request coalescing into batches that
+//!   the exact kernel runs in one matrix traversal (after Nagasaka &
+//!   Azad's KNL sparse products). Its producer/consumer
 //!   handshake is model-checked as the `admission` protocol in
 //!   `crates/check`;
 //! * [`service`] — the HTTP routes, mounted on the telemetry crate's

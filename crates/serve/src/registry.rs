@@ -4,13 +4,13 @@
 //! Registration is the expensive, once-per-matrix path: the uploaded
 //! matrix is structurally validated (the same [`Validated`] witness
 //! the kernels' unchecked fast paths demand), handed to the PR 6 menu
-//! search for a tuned kernel selection, and lowered onto three
+//! search for a tuned kernel selection, and lowered onto two
 //! long-lived kernel objects — an **exact** kernel (scalar
 //! accumulation order, bitwise-identical to the serial reference at
-//! any thread count), the **tuned** menu winner (throughput path,
-//! tolerance-level reproducibility), and the multi-vector **batch**
-//! kernel the scheduler coalesces same-matrix requests onto. Serving
-//! then costs one kernel dispatch per request (or per batch), which
+//! any thread count), which also runs every batch the scheduler
+//! coalesces same-matrix requests into, and the **tuned** menu winner
+//! (throughput path, tolerance-level reproducibility). Serving then
+//! costs one kernel dispatch per request (or per batch), which
 //! is what amortizes the tuning investment across request volume —
 //! the economics of Elafrou's lightweight selection method applied at
 //! the service layer.
@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use spmv_kernels::baseline::{CsrKernel, InnerLoop};
-use spmv_kernels::{build_micro_kernel, Schedule, SpmmKernel, SpmvKernel};
+use spmv_kernels::{build_micro_kernel, Schedule, SpmvKernel};
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, Validated};
 use spmv_telemetry::roofline::{self, RooflineId};
@@ -43,13 +43,11 @@ pub struct RegisteredMatrix {
     name: String,
     a: &'static Csr,
     /// Bitwise-reproducible kernel: scalar accumulation order under
-    /// the baseline nnz-balanced row partition.
-    exact: Box<dyn SpmvKernel>,
+    /// the baseline nnz-balanced row partition. Also runs coalesced
+    /// batches, so batch results are bitwise-serial in every mode.
+    exact: CsrKernel<'static>,
     /// The menu-search winner (throughput path).
     tuned: Box<dyn SpmvKernel>,
-    /// Multi-vector kernel for coalesced batches (scalar order, so
-    /// batch results are bitwise-serial in every mode).
-    batch: SpmmKernel<'static>,
     /// The tuner's decision record for `/v1/matrices` introspection.
     plan: KernelPlan,
     nthreads: usize,
@@ -105,9 +103,9 @@ impl RegisteredMatrix {
     /// request timeline.
     pub fn spmv_timed(&self, x: &[f64], mode: Mode) -> (Vec<f64>, f64) {
         let mut y = vec![0.0; self.nrows()];
-        let kernel = match mode {
+        let kernel: &dyn SpmvKernel = match mode {
             Mode::Exact => &self.exact,
-            Mode::Tuned => &self.tuned,
+            Mode::Tuned => &*self.tuned,
         };
         let times = kernel.run_timed(x, &mut y);
         (y, times.max())
@@ -121,10 +119,10 @@ impl RegisteredMatrix {
     }
 
     /// [`spmm_multi`](RegisteredMatrix::spmm_multi), also reporting
-    /// the batch kernel's busy seconds (slowest thread).
+    /// the exact kernel's busy seconds (slowest thread).
     pub fn spmm_multi_timed(&self, xs: &[&[f64]]) -> (Vec<Vec<f64>>, f64) {
         let mut ys: Vec<Vec<f64>> = xs.iter().map(|_| vec![0.0; self.nrows()]).collect();
-        let times = self.batch.run_multi(xs, &mut ys);
+        let times = self.exact.run_multi(xs, &mut ys);
         (ys, times.max())
     }
 
@@ -246,19 +244,13 @@ impl MatrixRegistry {
         let bound = menu::roofline_bound_gflops(a, &machine, plan.entry);
         let roofline = roofline::monitor().register(name, bound);
         let tuned = build_micro_kernel(a, plan.entry, self.nthreads).kernel;
-        let exact: Box<dyn SpmvKernel> = Box::new(CsrKernel::with_options(
-            a,
-            self.nthreads,
-            Schedule::NnzBalanced,
-            InnerLoop::Scalar,
-        ));
-        let batch = SpmmKernel::new(a, self.nthreads);
+        let exact =
+            CsrKernel::with_options(a, self.nthreads, Schedule::NnzBalanced, InnerLoop::Scalar);
         let matrix = Arc::new(RegisteredMatrix {
             name: name.to_string(),
             a,
             exact,
             tuned,
-            batch,
             plan,
             nthreads: self.nthreads,
             roofline,
@@ -371,6 +363,8 @@ mod tests {
         assert!(reg.get("a").is_some());
     }
 
+    /// Every vector of a batch comes back bitwise equal to the serial
+    /// reference and to the same vector served alone in exact mode.
     #[test]
     fn batch_path_is_bitwise_serial() {
         let reg = registry();
@@ -382,12 +376,12 @@ mod tests {
             (0..k).map(|j| (0..m.ncols()).map(|i| ((i + j) as f64).cos()).collect()).collect();
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
         let ys = m.spmm_multi(&x_refs);
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         for (x, y) in xs.iter().zip(&ys) {
             let mut y_ref = vec![0.0; m.nrows()];
             serial.spmv(x, &mut y_ref);
-            for (got, want) in y.iter().zip(&y_ref) {
-                assert_eq!(got.to_bits(), want.to_bits());
-            }
+            assert_eq!(bits(y), bits(&y_ref));
+            assert_eq!(bits(y), bits(&m.spmv(x, Mode::Exact)));
         }
     }
 

@@ -16,13 +16,13 @@
 //!   without bound. Rejections are counted in
 //!   `spmv_serve_rejected_total`.
 //! * **Batching**: the worker drains up to `batch_max` *same-matrix*
-//!   jobs per dispatch and executes them as one multi-vector SpMM
-//!   ([`spmv_kernels::SpmmKernel`]), streaming the matrix once for
-//!   the whole batch. Batches form opportunistically from whatever
-//!   is queued — an idle service batches nothing (no added latency),
-//!   a loaded service batches aggressively (amortized bandwidth).
-//!   Because the batch kernel uses scalar accumulation order, batch
-//!   membership never changes results: every vector is
+//!   jobs per dispatch and runs them as one batch on the matrix's
+//!   exact kernel ([`CsrKernel::run_multi`]), streaming the matrix
+//!   once for the whole batch. Batches form opportunistically from
+//!   whatever is queued — an idle service batches nothing (no added
+//!   latency), a loaded service batches aggressively (amortized
+//!   bandwidth). Because the exact kernel uses scalar accumulation
+//!   order, batch membership never changes results: every vector is
 //!   bitwise-identical to the serial reference.
 //! * **Threading**: the scheduler creates no threads. The daemon
 //!   donates one `ExecEngine` lane to [`Scheduler::worker_loop`];
@@ -42,6 +42,8 @@
 //! GFLOP/s into the matrix's roofline-attainment EWMA, and keeps a
 //! bounded ring of recent [`Observation`]s per matrix for
 //! `GET /v1/observe/{name}`.
+//!
+//! [`CsrKernel::run_multi`]: spmv_kernels::baseline::CsrKernel::run_multi
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;

@@ -268,60 +268,11 @@ impl DeltaCsr {
         }
     }
 
-    /// SpMV over a contiguous row range writing into a range-local
-    /// output slice: `out[k] = (A*x)[rows.start + k]`. This form lets
-    /// parallel callers hand each worker a disjoint `&mut` sub-slice
-    /// of `y`.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != rows.len()`.
-    pub fn spmv_rows_into(&self, rows: std::ops::Range<usize>, x: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), rows.len(), "output slice length");
-        let start = rows.start;
-        match &self.deltas {
-            Deltas::U8(d) => self.spmv_rows_into_impl(rows, x, out, start, d, u32::from(u8::MAX)),
-            Deltas::U16(d) => self.spmv_rows_into_impl(rows, x, out, start, d, u32::from(u16::MAX)),
-        }
-    }
-
-    #[inline]
-    fn spmv_rows_into_impl<T: Copy + Into<u32>>(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        out: &mut [f64],
-        start: usize,
-        deltas: &[T],
-        sentinel: u32,
-    ) {
-        for i in rows {
-            let (s, e) = (self.rowptr[i], self.rowptr[i + 1]);
-            let mut exc = self.exc_ptr[i] as usize;
-            let mut col = self.firstcol[i];
-            let mut sum = 0.0;
-            // Indexed loop: `j` addresses `deltas` and `values` in
-            // lockstep while threading the exception cursor.
-            #[allow(clippy::needless_range_loop)]
-            for j in s..e {
-                if j > s {
-                    let d: u32 = deltas[j].into();
-                    let gap = if d == sentinel {
-                        let g = self.exceptions[exc];
-                        exc += 1;
-                        g
-                    } else {
-                        d
-                    };
-                    col += gap;
-                }
-                sum += self.values[j] * x[col as usize];
-            }
-            out[i - start] = sum;
-        }
-    }
-
-    /// Like [`DeltaCsr::spmv_rows_into`] but with every per-element
-    /// bounds check elided — the compressed-format fast path.
+    /// Like [`DeltaCsr::spmv_rows`] but with every per-element bounds
+    /// check elided, writing into a range-local output slice
+    /// (`out[k] = (A*x)[rows.start + k]`, so parallel callers can hand
+    /// each worker a disjoint sub-slice of `y`) — the compressed-format
+    /// fast path.
     ///
     /// # Safety
     /// * `self` must hold a structure that passed

@@ -141,8 +141,8 @@ impl RooflineMonitor {
     }
 
     /// Registers `name` against its simulated roofline `bound`
-    /// (GFLOP/s), returning the handle to feed [`observe`]
-    /// (RooflineMonitor::observe). Re-registering an existing name
+    /// (GFLOP/s), returning the handle to feed
+    /// [`observe`](RooflineMonitor::observe). Re-registering an existing name
     /// updates its bound in place (a re-tuned plan moves the
     /// ceiling) and keeps the accumulated EWMA. Returns `None` when
     /// the bound is not a positive finite number or all
