@@ -1,11 +1,11 @@
 //! Compares two benchmark trajectories and gates on regression.
 //!
 //! ```text
-//! bench_compare OLD.json NEW.json [--sim-only] [--sim-tol F] [--host-tol F]
+//! bench_compare OLD.json NEW.json
 //! ```
 //!
 //! Exit codes: `0` no regression, `1` regression (or lost coverage),
-//! `2` usage / unreadable input / schema mismatch.
+//! `2` usage / unreadable input / schema or scale mismatch.
 //!
 //! Prefer `cargo xtask bench --compare OLD.json NEW.json`, which
 //! builds in release mode and runs from the repo root.
@@ -13,46 +13,26 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use spmv_bench::compare::{compare, CompareOptions};
+use spmv_bench::compare::compare;
 use spmv_bench::trajectory;
+
+const USAGE: &str = "usage: bench_compare OLD.json NEW.json";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [old_path, new_path] = positional[..] else {
-        eprintln!(
-            "usage: bench_compare OLD.json NEW.json [--sim-only] [--sim-tol F] [--host-tol F]"
-        );
-        return ExitCode::from(2);
-    };
-
-    let mut opts = CompareOptions {
-        sim_only: args.iter().any(|a| a == "--sim-only"),
-        ..CompareOptions::default()
-    };
-    if let Some(v) = flag_value(&args, "--sim-tol").and_then(|v| v.parse::<f64>().ok()) {
-        opts.sim_tol = v;
-    }
-    if let Some(v) = flag_value(&args, "--host-tol").and_then(|v| v.parse::<f64>().ok()) {
-        opts.host_tol = v;
-    }
-
-    let old = match trajectory::load(Path::new(old_path)) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("bench_compare: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let new = match trajectory::load(Path::new(new_path)) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("bench_compare: {e}");
+    // Two paths and nothing else: the tool takes no flags.
+    let (old_path, new_path) = match &args[..] {
+        [old, new] if !old.starts_with("--") && !new.starts_with("--") => (old, new),
+        _ => {
+            eprintln!("bench_compare: expected two trajectory paths, got {args:?}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
 
-    match compare(&old, &new, &opts) {
+    let outcome = trajectory::load(Path::new(old_path))
+        .and_then(|old| Ok((old, trajectory::load(Path::new(new_path))?)))
+        .and_then(|(old, new)| compare(&old, &new));
+    match outcome {
         Ok(report) => {
             print!("{}", report.render());
             if report.regressed() {
@@ -67,9 +47,4 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// Returns the value following `flag`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }

@@ -14,7 +14,8 @@
 //! | `table2_features` | Table 2 — feature extraction + scaling check |
 //! | `table3_accuracy` | Table 3 — LOOCV accuracy of the feature-guided classifier |
 //! | `table4_overhead` | Table 4 — amortization iterations per optimizer |
-//! | `bench_trajectory` | `BENCH_spmv.json` — cross-PR performance trajectory |
+//! | `bench_trajectory` | `BENCH_spmv.json` — simulated cross-PR performance trajectory |
+//! | `bench_compare` | regression gate over two `BENCH_spmv.json` files |
 //! | `ablation_thresholds` | grid-search sensitivity of `T_ML`/`T_IMB` |
 //! | `ablation_scheduling` | scheduling policies on skewed matrices |
 //! | `ablation_partitioned_ml` | future-work partitioned irregularity detection |

@@ -1,33 +1,30 @@
 //! Benchmark trajectory: the machine-readable performance record the
-//! repo carries from PR to PR (`BENCH_spmv.json` at the repo root).
+//! repo carries from change to change (`BENCH_spmv.json` at the repo
+//! root).
 //!
-//! One run sweeps the standard suite and emits, per matrix:
-//!
-//! * the simulated §III-B bounds, classifier decision trace and
-//!   per-variant GFLOP/s on each paper platform (deterministic, so
-//!   trajectory diffs isolate model changes from host noise);
-//! * host-measured GFLOP/s and preprocessing cost for the baseline
-//!   and every single-optimization variant, plus the microkernel
-//!   menu search's selected kernel and its throughput;
-//!
-//! plus a trailing `telemetry` section with the process-wide dispatch
-//! / preprocessing / profiling counters accumulated during the run.
+//! One run sweeps the standard suite and emits, per matrix, the
+//! simulated §III-B bounds, classifier decision trace and per-variant
+//! GFLOP/s on each paper platform. Every value comes from the
+//! deterministic simulator, so two runs at one scale write
+//! byte-identical files and trajectory diffs isolate model changes.
+//! Host-measured numbers belong to the perfbench harness, which
+//! measures their noise.
 //!
 //! Invoke via `cargo xtask bench` (writes the file) or run the
 //! `bench_trajectory` binary directly.
 
 use std::path::Path;
 
-use spmv_kernels::variant::{build_kernel, build_micro_kernel, KernelVariant};
-use spmv_machine::MachineModel;
-use spmv_telemetry::{metrics, tracer, JsonValue};
+use spmv_kernels::variant::KernelVariant;
+use spmv_telemetry::JsonValue;
 use spmv_tuner::profile::ProfileClassifier;
 
+use crate::cli::{flag_value, CliError};
 use crate::context::{analyze, load_suite, NamedMatrix, Platform};
 
 /// Schema identifier written into the report; bump on breaking shape
 /// changes so downstream diff tooling can refuse mixed comparisons.
-pub const SCHEMA: &str = "spmv-bench-trajectory/1";
+pub const SCHEMA: &str = "spmv-bench-trajectory/2";
 
 /// Verifies a parsed trajectory document carries the schema this
 /// tooling understands.
@@ -56,66 +53,50 @@ pub fn load(path: &Path) -> Result<JsonValue, String> {
 /// Suite scale of `--scale small` (CI smoke runs).
 pub const SMALL_SCALE: f64 = 0.05;
 
-/// Repetitions per host-measured kernel (best-of, warm pool).
-const HOST_REPS: usize = 3;
-
 /// Resolves the `--scale` argument: `small`, `full`, or an explicit
-/// positive float.
-pub fn resolve_scale(args: &[String]) -> f64 {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--scale" {
-            return match it.next().map(String::as_str) {
-                Some("small") => SMALL_SCALE,
-                Some("full") | None => 1.0,
-                Some(v) => match v.parse::<f64>() {
-                    Ok(s) if s > 0.0 => s,
-                    _ => {
-                        eprintln!("ignoring invalid --scale value {v:?}");
-                        1.0
-                    }
-                },
-            };
-        }
+/// positive float; 1.0 when the flag is absent. Any other value, or a
+/// missing one, is an error.
+pub fn resolve_scale(args: &[String]) -> Result<f64, CliError> {
+    match flag_value(args, "--scale")?.as_deref() {
+        None | Some("full") => Ok(1.0),
+        Some("small") => Ok(SMALL_SCALE),
+        Some(v) => match v.parse::<f64>() {
+            Ok(s) if s > 0.0 && s.is_finite() => Ok(s),
+            _ => Err(CliError(format!(
+                "--scale expects small, full or a positive number, found {v:?}"
+            ))),
+        },
     }
-    1.0
 }
 
-/// The variant set measured on the host: baseline plus every
+/// The variant set simulated on every platform: baseline plus every
 /// single-optimization variant from the paper's pool.
-fn host_variants() -> Vec<KernelVariant> {
+fn paper_variants() -> Vec<KernelVariant> {
     let mut v = vec![KernelVariant::BASELINE];
     v.extend(KernelVariant::all_singles());
     v
 }
 
-/// Runs the full trajectory at `scale` on `nthreads` host threads and
-/// returns the report as a JSON document.
-pub fn run(scale: f64, nthreads: usize) -> JsonValue {
+/// Runs the full trajectory at `scale` and returns the report as a
+/// JSON document.
+pub fn run(scale: f64) -> JsonValue {
     let platforms = Platform::paper_platforms();
     let suite = load_suite(scale);
     let clf = ProfileClassifier::default();
 
     let mut matrices = Vec::with_capacity(suite.len());
     for nm in &suite {
-        matrices.push(matrix_entry(nm, &platforms, &clf, nthreads));
+        matrices.push(matrix_entry(nm, &platforms, &clf));
     }
 
     JsonValue::obj()
         .with("schema", SCHEMA)
         .with("scale", scale)
-        .with("nthreads", nthreads)
         .with("matrices", JsonValue::Arr(matrices))
-        .with("telemetry", telemetry_section())
 }
 
-/// One matrix's record: simulated platforms + host measurements.
-fn matrix_entry(
-    nm: &NamedMatrix,
-    platforms: &[Platform],
-    clf: &ProfileClassifier,
-    nthreads: usize,
-) -> JsonValue {
+/// One matrix's record: the simulated platforms.
+fn matrix_entry(nm: &NamedMatrix, platforms: &[Platform], clf: &ProfileClassifier) -> JsonValue {
     let a = &nm.matrix;
     let mut plats = Vec::with_capacity(platforms.len());
     for p in platforms {
@@ -123,7 +104,7 @@ fn matrix_entry(
         let (classes, trace) = clf.classify_traced(&an.bounds);
         let variant = classes.to_variant(&an.features);
         let mut variants = Vec::new();
-        for v in host_variants() {
+        for v in paper_variants() {
             variants.push(
                 JsonValue::obj()
                     .with("variant", v.to_string())
@@ -168,120 +149,6 @@ fn matrix_entry(
         .with("ncols", a.ncols())
         .with("nnz", a.nnz())
         .with("platforms", JsonValue::Arr(plats))
-        .with("host", host_entry(nm, nthreads))
-}
-
-/// Host-measured GFLOP/s + preprocessing cost per variant.
-fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
-    let a = &nm.matrix;
-    let flops = 2.0 * a.nnz() as f64;
-    let x = vec![1.0f64; a.ncols()];
-    let mut y = vec![0.0f64; a.nrows()];
-    let mut variants = Vec::new();
-    let mut classic = Vec::new();
-    let menu = spmv_kernels::micro::menu(a.ncols());
-    for v in host_variants() {
-        let built = build_kernel(a, v, nthreads);
-        built.kernel.run(&x, &mut y); // warm-up
-        let (best, times) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
-        let gflops = flops / best.max(1e-12) / 1e9;
-        // A variant that built the same kernel-space point as a menu
-        // entry (`vec` is `csr/unrolled`, `comp` is `delta` unless its
-        // encoding fell back) measured that candidate: its timing is
-        // an additional sample of it.
-        if let Some(entry) = menu.iter().find(|e| e.config() == built.config) {
-            classic.push((entry.id(), gflops));
-        }
-        variants.push(
-            JsonValue::obj()
-                .with("variant", v.to_string())
-                .with("kernel", built.kernel.name())
-                .with("gflops", gflops)
-                .with("prep_seconds", built.prep_seconds)
-                .with("effective_bytes_per_nnz", built.kernel.effective_bytes_per_nnz(a.nnz()))
-                .with("imbalance", spmv_telemetry::imbalance(&times.seconds)),
-        );
-    }
-    JsonValue::obj()
-        .with("nthreads", nthreads)
-        .with("variants", JsonValue::Arr(variants))
-        .with("menu", menu_entry(nm, nthreads, &classic))
-}
-
-/// The tuner's menu-search decision for this matrix: the selected
-/// microkernel and its measured throughput, so `--compare` can
-/// regression-gate menu wins between trajectories. Scalars only — the
-/// full candidate lists live in `spmvtune explain`'s trace, and
-/// keeping this section list-free keeps the document's key-path
-/// structure byte-stable across runs.
-fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(String, f64)]) -> JsonValue {
-    let a = &nm.matrix;
-    let flops = 2.0 * a.nnz() as f64;
-    let (plan, trace) =
-        spmv_tuner::menu::search_or_cached(a, &MachineModel::host(), nthreads, HOST_REPS);
-    // Re-measure every candidate the search timed, with the same
-    // best-of protocol the classic variants use (same process, same
-    // warm pool), and let the re-measurement refine the selection:
-    // the search's single-warm-up timings can misrank near-ties, and
-    // this section's claim is "the menu's best on this host", gated
-    // by `--compare` against the classic variants' numbers.
-    let x = vec![1.0f64; a.ncols()];
-    let mut y = vec![0.0f64; a.nrows()];
-    let candidates = spmv_kernels::micro::menu(a.ncols());
-    let mut selected = plan.entry.id();
-    let mut gflops = plan.gflops;
-    for t in &trace.timed {
-        let Some(&entry) = candidates.iter().find(|e| e.id() == t.id) else { continue };
-        let built = build_micro_kernel(a, entry, nthreads);
-        built.kernel.run(&x, &mut y); // warm-up
-        let (best, _) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
-        let gf = flops / best.max(1e-12) / 1e9;
-        if gf > gflops {
-            gflops = gf;
-            selected = t.id.clone();
-        }
-    }
-    // The classic variants' measurements of the same kernels (see
-    // `host_entry`) are further samples — same best-of-the-samples
-    // de-noising as within one measurement.
-    for (id, gf) in classic {
-        if *gf > gflops {
-            gflops = *gf;
-            selected = id.clone();
-        }
-    }
-    JsonValue::obj()
-        .with("selected", selected)
-        .with("gflops", gflops)
-        .with("search_seconds", plan.search_seconds)
-        .with("cached", plan.cached)
-        .with("candidates", trace.considered.len())
-        .with("bound_pruned", trace.pruned.len())
-        .with("timed", trace.timed.len())
-}
-
-/// The process-wide counters accumulated while the trajectory ran.
-fn telemetry_section() -> JsonValue {
-    let prep = metrics::preprocessing();
-    let prof = metrics::profiling_runs();
-    JsonValue::obj()
-        .with("engine_dispatch", metrics::engine_dispatch().snapshot().to_json())
-        .with(
-            "preprocessing",
-            JsonValue::obj().with("count", prep.count()).with("seconds", prep.seconds()),
-        )
-        .with(
-            "profiling_runs",
-            JsonValue::obj().with("count", prof.count()).with("seconds", prof.seconds()),
-        )
-        .with(
-            "trace",
-            JsonValue::obj()
-                .with("events", tracer().recorded())
-                .with("dropped", tracer().dropped())
-                .with("capacity", tracer().capacity() as u64)
-                .with("enabled", tracer().enabled()),
-        )
 }
 
 #[cfg(test)]
@@ -291,46 +158,39 @@ mod tests {
     #[test]
     fn scale_resolution() {
         let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(resolve_scale(&args(&["--scale", "small"])), SMALL_SCALE);
-        assert_eq!(resolve_scale(&args(&["--scale", "full"])), 1.0);
-        assert_eq!(resolve_scale(&args(&["--scale", "0.25"])), 0.25);
-        assert_eq!(resolve_scale(&args(&["--scale", "bogus"])), 1.0);
-        assert_eq!(resolve_scale(&args(&[])), 1.0);
+        assert_eq!(resolve_scale(&args(&["--scale", "small"])), Ok(SMALL_SCALE));
+        assert_eq!(resolve_scale(&args(&["--scale", "full"])), Ok(1.0));
+        assert_eq!(resolve_scale(&args(&["--scale", "0.25"])), Ok(0.25));
+        assert_eq!(resolve_scale(&args(&[])), Ok(1.0));
+        // A malformed scale is an error, never a silent full-suite run.
+        for bad in
+            [&["--scale", "bogus"][..], &["--scale", "-1"], &["--scale"], &["--scale", "--out"]]
+        {
+            assert!(resolve_scale(&args(bad)).is_err(), "{bad:?}");
+        }
+        let err = resolve_scale(&args(&["--scale", "bogus"])).unwrap_err();
+        assert!(err.0.contains("bogus"), "{err}");
     }
 
     #[test]
     fn tiny_trajectory_has_full_schema() {
         // 0.01 keeps this test fast while exercising every code path.
-        let report = run(0.01, 2);
-        let json = report.render();
+        let json = run(0.01).render();
         for key in [
-            "\"schema\":\"spmv-bench-trajectory/1\"",
+            "\"schema\":\"spmv-bench-trajectory/2\"",
             "\"matrices\":",
             "\"bounds\":",
             "\"classifier\":",
             "\"selected_variant\":",
             "\"prep_seconds_model\":",
-            "\"host\":",
-            "\"prep_seconds\":",
-            "\"effective_bytes_per_nnz\":",
-            "\"menu\":",
-            "\"selected\":",
-            "\"search_seconds\":",
-            "\"bound_pruned\":",
-            "\"telemetry\":",
-            "\"engine_dispatch\":",
-            "\"profiling_runs\":",
         ] {
             assert!(json.contains(key), "missing {key} in {}", &json[..json.len().min(400)]);
         }
-        // 17 suite matrices × (baseline + 5 singles) host variants.
-        assert_eq!(json.matches("\"prep_seconds\":").count(), 17 * 6);
-        // The run itself drove the pooled engine, so dispatch
-        // telemetry must be non-trivial by the time we serialize.
-        assert!(metrics::engine_dispatch().snapshot().dispatches > 0);
-        // The new trace health counters ride in the telemetry section.
-        assert!(json.contains("\"trace\":"), "{json}");
-        assert!(json.contains("\"dropped\":"), "{json}");
+        for gone in ["\"host\":", "\"telemetry\":", "\"nthreads\":"] {
+            assert!(!json.contains(gone), "host-measured key {gone} is back");
+        }
+        // 17 suite matrices × 3 paper platforms.
+        assert_eq!(json.matches("\"prep_seconds_model\":").count(), 17 * 3);
     }
 
     #[test]
@@ -373,44 +233,10 @@ mod tests {
         }
     }
 
-    /// Every object key path in the document, in serialization order —
-    /// the structure a JSON diff sees, minus the (measured, noisy)
-    /// leaf values.
-    fn key_paths(v: &JsonValue, prefix: &str, out: &mut Vec<String>) {
-        if let Some(entries) = v.entries() {
-            for (k, child) in entries {
-                let p = format!("{prefix}.{k}");
-                out.push(p.clone());
-                key_paths(child, &p, out);
-            }
-        } else if let Some(arr) = v.as_array() {
-            for (i, child) in arr.iter().enumerate() {
-                key_paths(child, &format!("{prefix}[{i}]"), out);
-            }
-        }
-    }
-
     #[test]
-    fn trajectory_ordering_is_deterministic_across_runs() {
-        let a = run(0.01, 1);
-        let b = run(0.01, 1);
-        // Structure (map/array ordering) is byte-stable: same key
-        // paths in the same order, so diffs touch values only.
-        let (mut pa, mut pb) = (Vec::new(), Vec::new());
-        key_paths(&a, "", &mut pa);
-        key_paths(&b, "", &mut pb);
-        assert_eq!(pa, pb);
-        // The simulated sections are fully deterministic — not just
-        // ordered the same, but value-identical (this is what lets
-        // the compare gate run `--sim-only` without noise thresholds).
-        let sim = |doc: &JsonValue| -> Vec<String> {
-            doc.get("matrices")
-                .and_then(JsonValue::as_array)
-                .expect("matrices array")
-                .iter()
-                .map(|m| m.get("platforms").expect("platforms").render())
-                .collect()
-        };
-        assert_eq!(sim(&a), sim(&b));
+    fn trajectory_is_deterministic_across_runs() {
+        // Every value is simulated, so the whole document — not just
+        // its structure — is byte-identical run to run.
+        assert_eq!(run(0.01).render_pretty(2), run(0.01).render_pretty(2));
     }
 }

@@ -367,33 +367,6 @@ impl<'a> CsrKernel<'a> {
         CsrKernel { a, plan, flavor, label }
     }
 
-    /// Creates a kernel running a menu microkernel (see
-    /// [`crate::micro`]): [`CsrKernel::with_options`] with
-    /// [`InnerLoop::Micro`].
-    pub fn micro(
-        a: &'a Csr,
-        nthreads: usize,
-        schedule: Schedule,
-        spec: MicroSpec,
-    ) -> CsrKernel<'a> {
-        CsrKernel::with_options(a, nthreads, schedule, InnerLoop::Micro(spec))
-    }
-
-    /// Scheduling policy.
-    pub fn schedule(&self) -> Schedule {
-        self.plan.schedule()
-    }
-
-    /// Worker thread count.
-    pub fn nthreads(&self) -> usize {
-        self.plan.nthreads()
-    }
-
-    /// Inner-loop flavor.
-    pub fn flavor(&self) -> InnerLoop {
-        self.flavor
-    }
-
     /// Whether the matrix passed structural verification (and the
     /// kernel therefore runs the parallel unchecked fast path).
     pub fn is_validated(&self) -> bool {

@@ -39,21 +39,6 @@ impl DeltaKernel {
         DeltaKernel { d, plan, label }
     }
 
-    /// Access to the compressed matrix (for footprint reporting).
-    pub fn matrix(&self) -> &DeltaCsr {
-        self.d.get()
-    }
-
-    /// Scheduling policy.
-    pub fn schedule(&self) -> Schedule {
-        self.plan.schedule()
-    }
-
-    /// Worker thread count.
-    pub fn nthreads(&self) -> usize {
-        self.plan.nthreads()
-    }
-
     /// Whether the matrix passed structural verification (and the
     /// kernel therefore runs the parallel unchecked fast path).
     pub fn is_validated(&self) -> bool {

@@ -48,21 +48,6 @@ impl DecomposedKernel {
         DecomposedKernel { d, plan, flavor }
     }
 
-    /// Access to the decomposition (for footprint/threshold queries).
-    pub fn matrix(&self) -> &DecomposedCsr {
-        self.d.get()
-    }
-
-    /// Scheduling policy for the short-part phase.
-    pub fn schedule(&self) -> Schedule {
-        self.plan.schedule()
-    }
-
-    /// Worker thread count.
-    pub fn nthreads(&self) -> usize {
-        self.plan.nthreads()
-    }
-
     /// Whether the matrix passed structural verification (and the
     /// kernel therefore runs the parallel unchecked fast path).
     pub fn is_validated(&self) -> bool {

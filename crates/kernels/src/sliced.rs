@@ -37,21 +37,6 @@ impl SellKernel {
         SellKernel { s, plan, label }
     }
 
-    /// Scheduling policy over chunks.
-    pub fn schedule(&self) -> Schedule {
-        self.plan.schedule()
-    }
-
-    /// Worker thread count.
-    pub fn nthreads(&self) -> usize {
-        self.plan.nthreads()
-    }
-
-    /// The converted matrix.
-    pub fn matrix(&self) -> &SellCs {
-        self.s.get()
-    }
-
     /// Whether the matrix passed structural verification (and the
     /// kernel therefore runs the parallel unchecked fast path).
     pub fn is_validated(&self) -> bool {

@@ -239,12 +239,6 @@ impl DeltaCsr {
             + self.values.len() * std::mem::size_of::<f64>()
     }
 
-    /// Compression ratio of index data relative to plain CSR
-    /// (`< 1.0` means the compressed form is smaller).
-    pub fn index_compression_ratio(&self, original: &Csr) -> f64 {
-        self.footprint_bytes() as f64 / original.footprint_bytes() as f64
-    }
-
     /// Serial SpMV over the compressed format: `y = A * x`.
     ///
     /// # Panics
@@ -440,27 +434,6 @@ impl DeltaCsr {
         }
     }
 
-    /// Validates internal consistency (used by property tests).
-    ///
-    /// # Errors
-    /// [`SparseError::LengthMismatch`] describing the first violated
-    /// invariant.
-    pub fn validate(&self) -> Result<()> {
-        if self.rowptr.len() != self.nrows + 1 {
-            return Err(SparseError::LengthMismatch { detail: "rowptr".into() });
-        }
-        if self.deltas.len() != self.values.len() {
-            return Err(SparseError::LengthMismatch { detail: "deltas vs values".into() });
-        }
-        if self.exc_ptr.len() != self.nrows + 1 {
-            return Err(SparseError::LengthMismatch { detail: "exc_ptr".into() });
-        }
-        if *self.exc_ptr.last().unwrap() as usize != self.exceptions.len() {
-            return Err(SparseError::LengthMismatch { detail: "exc_ptr tail".into() });
-        }
-        Ok(())
-    }
-
     /// Full decode check behind [`crate::validate::ValidateFormat`]:
     /// replays every delta stream and proves each decoded column is in
     /// bounds and the exception cursor advances exactly as `exc_ptr`
@@ -580,6 +553,7 @@ fn count_escapes(a: &Csr) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::validate::ValidateFormat;
 
     fn banded(n: usize, band: usize) -> Csr {
         let mut coo = Coo::new(n, n).unwrap();
@@ -608,7 +582,7 @@ mod tests {
         assert_eq!(d.width(), DeltaWidth::U8);
         assert_eq!(d.n_exceptions(), 0);
         assert_eq!(d.to_csr().unwrap(), a);
-        d.validate().unwrap();
+        d.validate_structure().unwrap();
     }
 
     #[test]
@@ -666,7 +640,7 @@ mod tests {
     fn compression_shrinks_regular_matrices() {
         let a = banded(256, 4);
         let d = DeltaCsr::from_csr(&a).unwrap();
-        assert!(d.index_compression_ratio(&a) < 1.0);
+        assert!(d.footprint_bytes() < a.footprint_bytes());
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!   interleaving and weak-memory read the bounded-preemption cut
 //!   admits (crates/check), and proves the checker's teeth by
 //!   flagging every seeded mutant.
-//! * `cargo xtask bench [-- --scale small|full]` — builds the
-//!   `bench_trajectory` binary in release mode and writes
-//!   `BENCH_spmv.json` at the repo root (see DESIGN.md, "Telemetry &
-//!   the benchmark trajectory").
+//! * `cargo xtask bench [-- --scale small|full|<f64>] [--out PATH]`
+//!   — builds the `bench_trajectory` binary in release mode and
+//!   writes the simulated `BENCH_spmv.json` at the repo root;
+//!   `cargo xtask bench --compare OLD.json NEW.json` runs the
+//!   regression gate instead (see DESIGN.md, "Telemetry & the
+//!   benchmark trajectory").
 //!
 //! The audit enforces fifteen policies over every `.rs` file
 //! in the repository (vendored deps and build output excluded) —
@@ -298,7 +300,9 @@ fn run_bench(args: &[String]) -> ExitCode {
         Ok(s) if s.success() => ExitCode::SUCCESS,
         Ok(s) => {
             eprintln!("{bin} exited with {s}");
-            ExitCode::FAILURE
+            // Keep the binary's own code (1 = regression, 2 = usage or
+            // incomparable input) so callers can tell them apart.
+            s.code().and_then(|c| u8::try_from(c).ok()).map_or(ExitCode::FAILURE, ExitCode::from)
         }
         Err(e) => {
             eprintln!("cannot launch cargo: {e}");

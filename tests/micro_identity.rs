@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use spmv_tune::kernels::baseline::CsrKernel;
+use spmv_tune::kernels::baseline::{CsrKernel, InnerLoop};
 use spmv_tune::kernels::micro::{menu, specs_for};
 use spmv_tune::kernels::variant::build_micro_kernel;
 use spmv_tune::kernels::{Schedule, SpmvKernel};
@@ -93,10 +93,11 @@ proptest! {
         for spec in specs_for(ncols) {
             let mut y_simd = vec![0.0f64; nrows];
             let mut y_scalar = vec![0.0f64; nrows];
-            CsrKernel::micro(&a, nthreads, Schedule::NnzBalanced, spec)
-                .run(&x, &mut y_simd);
-            CsrKernel::micro(&a, nthreads, Schedule::NnzBalanced, spec.scalar_fallback())
-                .run(&x, &mut y_scalar);
+            let kernel = |spec| {
+                CsrKernel::with_options(&a, nthreads, Schedule::NnzBalanced, InnerLoop::Micro(spec))
+            };
+            kernel(spec).run(&x, &mut y_simd);
+            kernel(spec.scalar_fallback()).run(&x, &mut y_scalar);
             for r in 0..nrows {
                 prop_assert_eq!(
                     y_simd[r].to_bits(),

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use spmv_tune::kernels::variant::{build_kernel, KernelVariant};
 use spmv_tune::sparse::csr::partition_rows_by_nnz;
 use spmv_tune::sparse::gen::{jittered_permutation, permute_symmetric};
-use spmv_tune::sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, SellCs};
+use spmv_tune::sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, SellCs, ValidateFormat};
 
 /// Strategy: a random sparse matrix as triplets (duplicates allowed;
 /// they are summed by the COO->CSR conversion).
@@ -45,7 +45,7 @@ proptest! {
             prop_assert_eq!(&d.to_csr().expect("roundtrip"), &a);
         }
         let auto = DeltaCsr::from_csr(&a).expect("encodable");
-        auto.validate().expect("internal invariants");
+        auto.validate_structure().expect("full decode validates");
         prop_assert_eq!(&auto.to_csr().expect("roundtrip"), &a);
     }
 
