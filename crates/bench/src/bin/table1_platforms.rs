@@ -1,4 +1,4 @@
-//! Regenerates paper Table 1: platform characteristics (+ host STREAM).
+//! Regenerates paper Table 1: platform characteristics.
 fn main() {
-    print!("{}", spmv_bench::experiments::table1::run(true));
+    print!("{}", spmv_bench::experiments::table1::run());
 }

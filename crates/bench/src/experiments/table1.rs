@@ -1,15 +1,14 @@
 //! Table 1 — technical characteristics of the experimental platforms,
-//! printed from the machine presets, plus a live STREAM-triad
-//! measurement of the host for comparison.
+//! printed from the machine presets. The host's measured STREAM triad
+//! is reported with the simulator validation (`validate_sim`), so this
+//! table regenerates byte-identical.
 
-use spmv_machine::stream::measure_triad;
 use spmv_machine::MachineModel;
 
 use crate::table::{f, Table};
 
-/// Renders the platform table. `measure_host` additionally runs a
-/// real STREAM triad on the machine executing this binary.
-pub fn run(measure_host: bool) -> String {
+/// Renders the platform table.
+pub fn run() -> String {
     let mut table = Table::new(
         "Table 1 — experimental platform models",
         &[
@@ -39,16 +38,7 @@ pub fn run(measure_host: bool) -> String {
             f(m.llc_latency_ns),
         ]);
     }
-    let mut out = table.render();
-    if measure_host {
-        let triad = measure_triad(2_000_000, 3);
-        out.push_str(&format!(
-            "\nhost STREAM triad ({} MiB working set): {:.2} GB/s\n",
-            triad.working_set_bytes >> 20,
-            triad.gbps
-        ));
-    }
-    out
+    table.render()
 }
 
 #[cfg(test)]
@@ -57,17 +47,11 @@ mod tests {
 
     #[test]
     fn matches_paper_table1_values() {
-        let report = run(false);
+        let report = run();
         // KNC: 57 cores, 128 GB/s main; KNL: 68 cores, 395/570;
         // Broadwell: 22 cores, 60/200.
         for needle in ["KNC", "57", "128", "KNL", "68", "395", "570", "Broadwell", "22", "60"] {
             assert!(report.contains(needle), "{needle} missing\n{report}");
         }
-    }
-
-    #[test]
-    fn host_measurement_appends_line() {
-        let report = run(true);
-        assert!(report.contains("host STREAM triad"));
     }
 }

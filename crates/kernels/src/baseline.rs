@@ -16,10 +16,17 @@
 //! prefetch looks ahead along the worker's flat nonzero stream and
 //! crosses row ends. The menu's explicit microkernels come from
 //! [`crate::micro`].
+//!
+//! The loop reads column indices from a column stream: plain CSR's
+//! `colind`, or the `MB`-class delta-compressed CSR
+//! ([`spmv_sparse::DeltaCsr`]), whose cursors decode each column
+//! inside the row loop. A [`CsrKernel`] holds either one, so delta
+//! compression combines with every classic flavor.
 
 use std::ops::Range;
 
-use spmv_sparse::{Csr, MaybeValidated};
+use spmv_sparse::delta::{DeltaAhead, DeltaColumns, DeltaRow, DeltaStream};
+use spmv_sparse::{Csr, DeltaCsr, MaybeValidated};
 
 use crate::engine::Plan;
 use crate::micro::MicroSpec;
@@ -103,25 +110,25 @@ impl InnerLoop {
 
     /// Writes `ys[j][i]` = row `i` of `a` times `xs[j]` for every `i`
     /// in `rows` and each of the `K` vectors, bounds checks on `x`
-    /// elided: the one CSR row traversal. A single SpMV is `K = 1`.
-    /// The flavor is matched once per call, so every row loop below
-    /// is monomorphic.
+    /// elided: the one row traversal. A single SpMV is `K = 1`. The
+    /// storage and the flavor are matched once per call, so every row
+    /// loop below is monomorphic.
     ///
     /// # Panics
     /// Unless `xs.len() == ys.len() == K`.
     ///
     /// # Safety
-    /// `a` carries a [`spmv_sparse::Validated`] witness (every column
-    /// is below `ncols`) and every `x.len() == a.ncols()`; `rows` lies
-    /// in `0..a.nrows()`; every `y` points at a live buffer of
-    /// `a.nrows()` elements whose entries in `rows` the caller owns
-    /// exclusively for the call. For a SIMD [`InnerLoop::Micro`]
-    /// flavor, columns must additionally fit in `i32` (see
-    /// [`crate::micro::gather_compatible`]).
+    /// `a`'s matrix carries a [`spmv_sparse::Validated`] witness (every
+    /// column decodes below `ncols`) and every `x.len() == ncols`;
+    /// `rows` lies in `0..nrows`; every `y` points at a live buffer of
+    /// `nrows` elements whose entries in `rows` the caller owns
+    /// exclusively for the call. An [`InnerLoop::Micro`] flavor runs on
+    /// plain CSR only, and for a SIMD spec columns must additionally
+    /// fit in `i32` (see [`crate::micro::gather_compatible`]).
     #[inline]
     pub(crate) unsafe fn run_rows<const K: usize>(
         self,
-        a: &Csr,
+        a: Rows<'_>,
         rows: Range<usize>,
         xs: &[&[f64]],
         ys: &[YPtr],
@@ -133,18 +140,57 @@ impl InnerLoop {
         let ys: [YPtr; K] = ys.try_into().expect("K output vectors");
         // SAFETY: each arm forwards the caller's contract unchanged.
         unsafe {
-            match self {
-                InnerLoop::Scalar => csr_rows::<1, false, K>(a, rows, &xs, &ys),
-                InnerLoop::Unrolled => csr_rows::<4, false, K>(a, rows, &xs, &ys),
-                InnerLoop::Prefetch => csr_rows::<1, true, K>(a, rows, &xs, &ys),
-                InnerLoop::UnrolledPrefetch => csr_rows::<4, true, K>(a, rows, &xs, &ys),
-                InnerLoop::Micro(spec) => {
+            match (a, self) {
+                (Rows::Csr(a), InnerLoop::Micro(spec)) => {
                     for i in rows {
                         let (cols, vals) = a.row(i);
                         for (x, y) in xs.iter().zip(ys) {
                             y.write(i, spec.row_sum_unchecked(cols, vals, x));
                         }
                     }
+                }
+                (Rows::Csr(a), flavor) => {
+                    flavor.classic_rows((a.rowptr(), a.values(), a.colind()), rows, &xs, &ys)
+                }
+                (Rows::Delta(d), flavor) => {
+                    let (rowptr, values) = (d.rowptr(), d.values());
+                    match d.columns() {
+                        DeltaColumns::U8(c) => {
+                            flavor.classic_rows((rowptr, values, c), rows, &xs, &ys)
+                        }
+                        DeltaColumns::U16(c) => {
+                            flavor.classic_rows((rowptr, values, c), rows, &xs, &ys)
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`InnerLoop::run_rows`] for the four classic flavors, over a
+    /// row pointer, values and any column stream. Out of line: one
+    /// function per column stream and batch width, called once per row
+    /// range.
+    ///
+    /// # Safety
+    /// As [`InnerLoop::run_rows`].
+    #[inline(never)]
+    unsafe fn classic_rows<S: ColumnStream, const K: usize>(
+        self,
+        a: (&[usize], &[f64], S),
+        rows: Range<usize>,
+        xs: &[&[f64]; K],
+        ys: &[YPtr; K],
+    ) {
+        // SAFETY: each arm forwards the caller's contract unchanged.
+        unsafe {
+            match self {
+                InnerLoop::Scalar => csr_rows::<S, 1, false, K>(a, rows, xs, ys),
+                InnerLoop::Unrolled => csr_rows::<S, 4, false, K>(a, rows, xs, ys),
+                InnerLoop::Prefetch => csr_rows::<S, 1, true, K>(a, rows, xs, ys),
+                InnerLoop::UnrolledPrefetch => csr_rows::<S, 4, true, K>(a, rows, xs, ys),
+                InnerLoop::Micro(_) => {
+                    unreachable!("microkernels gather from a column slice: plain CSR only")
                 }
             }
         }
@@ -155,7 +201,7 @@ impl InnerLoop {
     ///
     /// # Safety
     /// As [`InnerLoop::run_rows`], with `xs.len() == ys.len()`.
-    unsafe fn run_rows_batch(self, a: &Csr, rows: Range<usize>, xs: &[&[f64]], ys: &[YPtr]) {
+    unsafe fn run_rows_batch(self, a: Rows<'_>, rows: Range<usize>, xs: &[&[f64]], ys: &[YPtr]) {
         for (xs, ys) in xs.chunks(MAX_BATCH).zip(ys.chunks(MAX_BATCH)) {
             let run = match xs.len() {
                 1 => InnerLoop::run_rows::<1>,
@@ -174,45 +220,178 @@ impl InnerLoop {
     }
 }
 
+/// A validated matrix as the row traversal reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Plain CSR.
+    Csr(&'a Csr),
+    /// Delta-compressed CSR.
+    Delta(&'a DeltaCsr),
+}
+
+/// A matrix's column indices as the traversal reads them: plain
+/// CSR's `colind`, or delta-compressed CSR's [`DeltaStream`], whose
+/// cursors decode in place. Passed by value, so that the traversal
+/// holds it in locals.
+trait ColumnStream: Copy {
+    /// Cursor over one row, read at positions `0, 1, …` of the row.
+    type Row;
+    /// Cursor along the flat nonzero stream, read in consecutive
+    /// ranges of global positions.
+    type Ahead;
+
+    /// The cursor over row `i`, whose first nonzero is `start`.
+    ///
+    /// # Safety
+    /// The matrix is validated, `i < nrows` and `start == rowptr[i]`.
+    unsafe fn row_cols(&self, i: usize, start: usize) -> Self::Row;
+
+    /// The column at position `k` of the cursor's row.
+    ///
+    /// # Safety
+    /// Positions come one after another from 0, below the row's length.
+    unsafe fn col_at(row: &mut Self::Row, k: usize) -> usize;
+
+    /// A flat cursor whose first position is `pos`.
+    ///
+    /// # Safety
+    /// The matrix is validated, `row < nrows` and
+    /// `rowptr[row] <= pos <= nnz`.
+    unsafe fn ahead_cols(&self, row: usize, pos: usize) -> Self::Ahead;
+
+    /// Calls `visit` with the column at each position of `range`.
+    ///
+    /// # Safety
+    /// Ranges follow on from the cursor's first position, up to `nnz`.
+    unsafe fn cols_in(ahead: &mut Self::Ahead, range: Range<usize>, visit: impl FnMut(usize));
+}
+
+impl<'a> ColumnStream for &'a [u32] {
+    type Row = &'a [u32];
+    type Ahead = &'a [u32];
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn row_cols(&self, _i: usize, start: usize) -> &'a [u32] {
+        // SAFETY: start == rowptr[i] <= nnz == self.len() (contract).
+        unsafe { self.get_unchecked(start..) }
+    }
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn col_at(row: &mut &'a [u32], k: usize) -> usize {
+        // SAFETY: k < row.len() (contract).
+        unsafe { *row.get_unchecked(k) as usize }
+    }
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn ahead_cols(&self, _row: usize, _pos: usize) -> &'a [u32] {
+        self
+    }
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn cols_in(ahead: &mut &'a [u32], range: Range<usize>, mut visit: impl FnMut(usize)) {
+        for &c in &ahead[range] {
+            visit(c as usize);
+        }
+    }
+}
+
+impl<'a, T: Copy + Into<u32>> ColumnStream for DeltaStream<'a, T> {
+    type Row = DeltaRow<'a, T>;
+    type Ahead = DeltaAhead<'a, T>;
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn row_cols(&self, i: usize, start: usize) -> DeltaRow<'a, T> {
+        // SAFETY: forwarded contract.
+        unsafe { self.row_cursor(i, start) }
+    }
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn col_at(row: &mut DeltaRow<'a, T>, k: usize) -> usize {
+        // SAFETY: forwarded contract.
+        unsafe { row.decode_at(k) }
+    }
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn ahead_cols(&self, row: usize, pos: usize) -> DeltaAhead<'a, T> {
+        // SAFETY: forwarded contract.
+        unsafe { self.ahead_cursor(row, pos) }
+    }
+
+    // SAFETY: callers keep the trait method's contract.
+    #[inline(always)]
+    unsafe fn cols_in(
+        ahead: &mut DeltaAhead<'a, T>,
+        range: Range<usize>,
+        visit: impl FnMut(usize),
+    ) {
+        // SAFETY: forwarded contract.
+        unsafe { ahead.decode_range(range, visit) }
+    }
+}
+
 /// The classic traversal behind the four non-micro flavors: each row
 /// summed against all `K` vectors by [`row_sum_classic`] with `ACC`
 /// accumulators per vector and, with `LOOKAHEAD`, preceded by a
-/// prefetch of every `x[colind[k]]` for `k` in
+/// prefetch of every `x[col(k)]` for `k` in
 /// `rowptr[i] + D .. rowptr[i + 1] + D` (D = [`PREFETCH_DIST`]),
-/// clipped to the last nonzero of `rows`. Over a range, every
-/// nonzero past its first D is hinted exactly once whatever the row
-/// lengths, and no hint reaches into another worker's rows. The hints
-/// never touch the arithmetic, so a lookahead flavor is bitwise
-/// identical to its twin without one.
+/// clipped to the last nonzero of `rows`, read through a second
+/// cursor of the same column stream. Over a range, every nonzero past its first
+/// D is hinted exactly once whatever the row lengths, and no hint
+/// reaches into another worker's rows. The hints never touch the
+/// arithmetic, so a lookahead flavor is bitwise identical to its twin
+/// without one.
 ///
 /// # Safety
 /// Same contract as [`InnerLoop::run_rows`].
 #[inline(always)]
-unsafe fn csr_rows<const ACC: usize, const LOOKAHEAD: bool, const K: usize>(
-    a: &Csr,
+unsafe fn csr_rows<S: ColumnStream, const ACC: usize, const LOOKAHEAD: bool, const K: usize>(
+    (rowptr, values, cols): (&[usize], &[f64], S),
     rows: Range<usize>,
     xs: &[&[f64]; K],
     ys: &[YPtr; K],
 ) {
-    let (rowptr, colind, values) = (a.rowptr(), a.colind(), a.values());
+    if rows.is_empty() {
+        return;
+    }
     let stream_end = rowptr[rows.end];
+    let mut next = (rowptr[rows.start] + PREFETCH_DIST).min(stream_end);
+    // SAFETY: rows.start < nrows and rowptr[rows.start] <= next <=
+    // stream_end <= nnz; the matrix is validated (caller's contract).
+    let mut ahead = LOOKAHEAD.then(|| unsafe { cols.ahead_cols(rows.start, next) });
     for i in rows {
-        let (s, e) = (rowptr[i], rowptr[i + 1]);
-        if LOOKAHEAD {
-            let ahead = (s + PREFETCH_DIST).min(stream_end)..(e + PREFETCH_DIST).min(stream_end);
+        // SAFETY: i < rows.end <= nrows, and a validated row pointer
+        // has nrows + 1 monotone entries up to nnz.
+        let (s, e, vals) = unsafe {
+            let (s, e) = (*rowptr.get_unchecked(i), *rowptr.get_unchecked(i + 1));
+            (s, e, values.get_unchecked(s..e))
+        };
+        if let Some(ahead) = &mut ahead {
+            let end = (e + PREFETCH_DIST).min(stream_end);
             debug_assert!(
-                ahead.start <= ahead.end && ahead.end <= stream_end,
-                "lookahead {ahead:?} leaves the range's nonzeros ..{stream_end}"
+                next <= end && end <= stream_end,
+                "lookahead {next}..{end} leaves the range's nonzeros ..{stream_end}"
             );
-            for &c in &colind[ahead] {
-                for x in xs {
-                    prefetch_x(x, c as usize);
-                }
-            }
+            // SAFETY: the ranges follow on from the cursor's start and
+            // stay below stream_end <= nnz.
+            unsafe {
+                S::cols_in(ahead, next..end, |c| {
+                    for x in xs {
+                        prefetch_x(x, c);
+                    }
+                })
+            };
+            next = end;
         }
         // SAFETY: row i of a validated matrix (caller's contract): its
         // columns are < ncols == x.len(), and the caller owns y[i].
-        let sums = unsafe { row_sum_classic::<ACC, K>(&colind[s..e], &values[s..e], xs) };
+        let sums = unsafe { row_sum_classic::<S, ACC, K>(cols.row_cols(i, s), vals, xs) };
         for (y, sum) in ys.iter().zip(sums) {
             // SAFETY: the caller owns row i of every y.
             unsafe { y.write(i, sum) };
@@ -228,29 +407,26 @@ unsafe fn csr_rows<const ACC: usize, const LOOKAHEAD: bool, const K: usize>(
 /// Separate multiply and add (no fused multiply-add); accumulators
 /// combine as `(a0 + a1) + (a2 + a3)` and the tail past the last full
 /// block adds sequentially onto that sum. Each vector's sum sees the
-/// same operations in the same order whatever `K`, so it is bitwise
-/// the `K = 1` sum.
+/// same operations in the same order whatever `K` and whatever column
+/// stream, so it is bitwise the `K = 1` sum over plain CSR.
 ///
 /// # Safety
-/// `cols.len() == vals.len()` and every entry of `cols` indexes in
-/// bounds of every `x`.
+/// `cols` reads `vals.len()` columns, each in bounds of every `x`.
 #[inline(always)]
-unsafe fn row_sum_classic<const ACC: usize, const K: usize>(
-    cols: &[u32],
+unsafe fn row_sum_classic<S: ColumnStream, const ACC: usize, const K: usize>(
+    mut cols: S::Row,
     vals: &[f64],
     xs: &[&[f64]; K],
 ) -> [f64; K] {
-    debug_assert_eq!(cols.len(), vals.len());
-    let n = cols.len();
+    let n = vals.len();
     let mut acc = [[0.0f64; K]; ACC];
     let blocks = n / ACC;
     for k in 0..blocks {
         let b = ACC * k;
         for (lane, acc) in acc.iter_mut().enumerate() {
-            // SAFETY: b + lane < ACC * blocks <= n == cols.len() ==
-            // vals.len().
-            let (c, v) =
-                unsafe { (*cols.get_unchecked(b + lane) as usize, *vals.get_unchecked(b + lane)) };
+            // SAFETY: b + lane < ACC * blocks <= n == vals.len(), and
+            // positions run 0, 1, … in order.
+            let (c, v) = unsafe { (S::col_at(&mut cols, b + lane), *vals.get_unchecked(b + lane)) };
             // A counted `while` rather than a range `for`: unoptimized
             // builds then pay no iterator calls per nonzero.
             let mut j = 0;
@@ -267,8 +443,8 @@ unsafe fn row_sum_classic<const ACC: usize, const K: usize>(
         _ => unreachable!("the classic flavors use 1 or 4 accumulators"),
     };
     for k in ACC * blocks..n {
-        // SAFETY: k < n == cols.len() == vals.len().
-        let (c, v) = unsafe { (*cols.get_unchecked(k) as usize, *vals.get_unchecked(k)) };
+        // SAFETY: k < n == vals.len(), continuing the positions above.
+        let (c, v) = unsafe { (S::col_at(&mut cols, k), *vals.get_unchecked(k)) };
         for j in 0..K {
             // SAFETY: the validated column is < x.len() (contract).
             sums[j] += v * unsafe { *xs[j].get_unchecked(c) };
@@ -308,18 +484,7 @@ fn prefetch_x(x: &[f64], col: usize) {
     }
 }
 
-/// Scalar row dot product (the paper's Fig. 2 inner loop), fully
-/// checked — the reference the unchecked flavors are tested against.
-#[inline(always)]
-pub fn row_sum_scalar(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for (c, v) in cols.iter().zip(vals) {
-        sum += v * x[*c as usize];
-    }
-    sum
-}
-
-/// Parallel CSR SpMV kernel.
+/// Parallel CSR SpMV kernel, over plain or delta-compressed CSR.
 ///
 /// Holds a precomputed [`Plan`] (partition + persistent worker pool),
 /// so repeated [`run`](SpmvKernel::run) calls pay neither thread
@@ -328,17 +493,43 @@ pub fn row_sum_scalar(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
 /// The matrix is structurally verified once at construction: a
 /// [`spmv_sparse::Validated`] witness admits the parallel unchecked
 /// fast path, while a matrix that fails verification silently falls
-/// back to the serial fully-checked [`Csr::spmv`] (correct for any
-/// in-bounds structure, and panics rather than corrupting memory on
-/// anything worse).
+/// back to the serial fully-checked [`Csr::spmv`] or [`DeltaCsr::spmv`]
+/// (correct for any in-bounds structure, and panics rather than
+/// corrupting memory on anything worse).
 #[derive(Debug)]
 pub struct CsrKernel<'a> {
-    a: MaybeValidated<&'a Csr>,
+    a: Storage<'a>,
     plan: Plan,
     flavor: InnerLoop,
     /// Dispatch label threaded into the engine's trace events: the id
     /// of the kernel config this kernel runs (e.g. `csr/avx2-a2`).
     label: String,
+}
+
+/// The matrix a [`CsrKernel`] reads: borrowed plain CSR, or the owned
+/// product of delta compression.
+#[derive(Debug)]
+enum Storage<'a> {
+    Csr(MaybeValidated<&'a Csr>),
+    Delta(MaybeValidated<DeltaCsr>),
+}
+
+impl Storage<'_> {
+    /// `(nrows, ncols)`.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Storage::Csr(a) => (a.get().nrows(), a.get().ncols()),
+            Storage::Delta(d) => (d.get().nrows(), d.get().ncols()),
+        }
+    }
+
+    /// The serial fully-checked SpMV of the unvalidated path.
+    fn spmv_checked(&self, x: &[f64], y: &mut [f64]) {
+        match self {
+            Storage::Csr(a) => a.get().spmv(x, y),
+            Storage::Delta(d) => d.get().spmv(x, y),
+        }
+    }
 }
 
 impl<'a> CsrKernel<'a> {
@@ -364,13 +555,59 @@ impl<'a> CsrKernel<'a> {
         let a = MaybeValidated::new(a);
         let plan = witness_plan(&a, schedule, nthreads, |a| a.rowptr());
         let label = KernelConfig { format: Format::Csr, row: flavor, schedule }.id();
-        CsrKernel { a, plan, flavor, label }
+        CsrKernel { a: Storage::Csr(a), plan, flavor, label }
+    }
+
+    /// Creates a kernel over delta-compressed CSR (the paper's `MB`
+    /// class) with one of the four classic flavors. It owns the
+    /// compressed matrix, the conversion product.
+    ///
+    /// # Panics
+    /// On an [`InnerLoop::Micro`] flavor: microkernels gather from a
+    /// plain column slice.
+    pub fn delta(
+        d: DeltaCsr,
+        nthreads: usize,
+        schedule: Schedule,
+        flavor: InnerLoop,
+    ) -> CsrKernel<'a> {
+        assert!(!matches!(flavor, InnerLoop::Micro(_)), "a microkernel needs plain CSR");
+        let d = MaybeValidated::new(d);
+        let plan = witness_plan(&d, schedule, nthreads, |d| d.rowptr());
+        let label = KernelConfig { format: Format::Delta, row: flavor, schedule }.id();
+        CsrKernel { a: Storage::Delta(d), plan, flavor, label }
     }
 
     /// Whether the matrix passed structural verification (and the
     /// kernel therefore runs the parallel unchecked fast path).
     pub fn is_validated(&self) -> bool {
-        self.a.is_validated()
+        match &self.a {
+            Storage::Csr(a) => a.is_validated(),
+            Storage::Delta(d) => d.is_validated(),
+        }
+    }
+
+    /// Dispatches the kernel's plan once under its label: the
+    /// traversal writes `ys[j] = A · xs[j]` for every vector. Returns
+    /// `None`, running nothing, when the matrix is not validated.
+    ///
+    /// # Safety
+    /// `xs.len() == ys.len()`, every `x.len() == ncols`, and every `y`
+    /// points at a live buffer of `nrows` elements that nothing else
+    /// accesses during the call.
+    unsafe fn execute(&self, xs: &[&[f64]], ys: &[YPtr]) -> Option<ThreadTimes> {
+        let rows = match &self.a {
+            Storage::Csr(MaybeValidated::Validated(a)) => Rows::Csr(a.get()),
+            Storage::Delta(MaybeValidated::Validated(d)) => Rows::Delta(d.get()),
+            _ => return None,
+        };
+        Some(self.plan.execute_labeled(&self.label, |range| {
+            // SAFETY: a validated matrix and the caller's vectors;
+            // `execute_labeled` hands each worker disjoint row ranges;
+            // the flavor is gather-checked, and only plain CSR takes a
+            // micro flavor (`CsrKernel::delta`).
+            unsafe { self.flavor.run_rows_batch(rows, range, xs, ys) };
+        }))
     }
 
     /// Computes `ys[j] = A · xs[j]` for `k` vectors in one dispatch of
@@ -383,41 +620,32 @@ impl<'a> CsrKernel<'a> {
     /// Each vector's row sums take the same operations in the same
     /// order as a single-vector run, so each `ys[j]` is bitwise what
     /// [`SpmvKernel::run`] writes for `xs[j]`; for the scalar flavor
-    /// that is bitwise [`Csr::spmv`]. An unvalidated matrix runs
-    /// `Csr::spmv` serially per vector, as [`SpmvKernel::run_timed`]
+    /// that is bitwise [`Csr::spmv`]. An unvalidated matrix runs the
+    /// serial checked SpMV per vector, as [`SpmvKernel::run_timed`]
     /// does.
     ///
     /// # Panics
     /// On shape mismatch, `k == 0`, or `xs.len() != ys.len()`.
     pub fn run_multi(&self, xs: &[&[f64]], ys: &mut [Vec<f64>]) -> ThreadTimes {
-        let a = *self.a.get();
+        let (nrows, ncols) = self.a.shape();
         assert!(!xs.is_empty(), "batch width must be at least 1");
         assert_eq!(ys.len(), xs.len(), "one output vector per input vector");
         for x in xs {
-            assert_eq!(x.len(), a.ncols(), "x length");
+            assert_eq!(x.len(), ncols, "x length");
         }
         for y in ys.iter() {
-            assert_eq!(y.len(), a.nrows(), "y length");
+            assert_eq!(y.len(), nrows, "y length");
         }
-        match &self.a {
-            MaybeValidated::Validated(v) => {
-                let a = *v.get();
-                let yps: Vec<YPtr> = ys.iter_mut().map(|y| YPtr(y.as_mut_ptr())).collect();
-                self.plan.execute_labeled(&self.label, |range| {
-                    // SAFETY: as in `run_timed`, for each of the `k`
-                    // vectors: validated matrix, every `x.len() ==
-                    // ncols` and every `y` a live `nrows` buffer
-                    // (asserted above); `execute` hands each worker
-                    // disjoint row ranges; the flavor is gather-checked.
-                    unsafe { self.flavor.run_rows_batch(a, range, xs, &yps) };
-                })
-            }
-            MaybeValidated::Unvalidated(a) => checked_fallback(self.plan.nthreads(), || {
+        let yps: Vec<YPtr> = ys.iter_mut().map(|y| YPtr(y.as_mut_ptr())).collect();
+        // SAFETY: the shapes are asserted above, and `ys` stays
+        // mutably borrowed by this call.
+        unsafe { self.execute(xs, &yps) }.unwrap_or_else(|| {
+            checked_fallback(self.plan.nthreads(), || {
                 for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                    a.spmv(x, y);
+                    self.a.spmv_checked(x, y);
                 }
-            }),
-        }
+            })
+        })
     }
 }
 
@@ -432,41 +660,39 @@ pub const MAX_BATCH: usize = 8;
 
 impl SpmvKernel for CsrKernel<'_> {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
-        let a = *self.a.get();
-        assert_eq!(x.len(), a.ncols(), "x length");
-        assert_eq!(y.len(), a.nrows(), "y length");
-        match &self.a {
-            MaybeValidated::Validated(v) => {
-                let a = *v.get();
-                let yp = YPtr(y.as_mut_ptr());
-                self.plan.execute_labeled(&self.label, |range| {
-                    // SAFETY: the matrix carries a Validated witness and
-                    // x.len() == ncols (asserted above); `execute` hands
-                    // each worker disjoint row ranges of a live `y` of
-                    // `nrows` elements; the flavor is gather-checked.
-                    unsafe { self.flavor.run_rows::<1>(a, range, &[x], &[yp]) };
-                })
-            }
-            MaybeValidated::Unvalidated(a) => checked_fallback(self.plan.nthreads(), || {
-                a.spmv(x, y);
-            }),
-        }
+        let (nrows, ncols) = self.a.shape();
+        assert_eq!(x.len(), ncols, "x length");
+        assert_eq!(y.len(), nrows, "y length");
+        let yp = YPtr(y.as_mut_ptr());
+        // SAFETY: the shapes are asserted above, and `y` stays mutably
+        // borrowed by this call.
+        unsafe { self.execute(&[x], &[yp]) }
+            .unwrap_or_else(|| checked_fallback(self.plan.nthreads(), || self.a.spmv_checked(x, y)))
     }
 
     fn name(&self) -> String {
-        format!("csr[{:?},{:?}]", self.flavor, self.plan.schedule())
+        let schedule = self.plan.schedule();
+        match &self.a {
+            Storage::Csr(_) => format!("csr[{:?},{schedule:?}]", self.flavor),
+            Storage::Delta(d) => {
+                format!("delta[{:?},{:?},{schedule:?}]", d.get().width(), self.flavor)
+            }
+        }
     }
 
     fn nrows(&self) -> usize {
-        self.a.get().nrows()
+        self.a.shape().0
     }
 
     fn ncols(&self) -> usize {
-        self.a.get().ncols()
+        self.a.shape().1
     }
 
     fn format_bytes(&self) -> usize {
-        self.a.get().footprint_bytes()
+        match &self.a {
+            Storage::Csr(a) => a.get().footprint_bytes(),
+            Storage::Delta(d) => d.get().footprint_bytes(),
+        }
     }
 }
 
@@ -504,7 +730,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use spmv_sparse::gen;
+    use spmv_sparse::{gen, DeltaWidth};
 
     fn random_x(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -522,44 +748,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn baseline_matches_serial_reference() {
-        let a = gen::banded(500, 4, 0.8, 3).unwrap();
-        for nthreads in [1, 2, 4, 7] {
-            assert_matches_serial(&a, &CsrKernel::baseline(&a, nthreads));
-        }
-    }
-
-    #[test]
-    fn all_flavors_and_schedules_match() {
-        let a = gen::powerlaw(800, 6, 2.0, 5).unwrap();
-        for flavor in [
-            InnerLoop::Scalar,
-            InnerLoop::Unrolled,
-            InnerLoop::Prefetch,
-            InnerLoop::UnrolledPrefetch,
-        ] {
-            for schedule in [
-                Schedule::StaticRows,
-                Schedule::NnzBalanced,
-                Schedule::Dynamic { chunk: 16 },
-                Schedule::Guided,
-            ] {
-                let k = CsrKernel::with_options(&a, 4, schedule, flavor);
-                assert_matches_serial(&a, &k);
-            }
-        }
-    }
-
     /// The accumulation orders the classic flavors must keep,
     /// transcribed with checked indexing: one running sum, or four
     /// lane accumulators combined `(a0 + a1) + (a2 + a3)` followed by
     /// a sequential tail. Prefetching never changes the arithmetic.
     fn reference_flavor(unrolled: bool, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-        if !unrolled {
-            return row_sum_scalar(cols, vals, x);
-        }
         let n = cols.len();
+        if !unrolled {
+            return (0..n).fold(0.0, |sum, k| sum + vals[k] * x[cols[k] as usize]);
+        }
         let mut acc = [0.0f64; 4];
         for k in 0..n / 4 {
             for (lane, a) in acc.iter_mut().enumerate() {
@@ -586,9 +783,9 @@ mod tests {
                 // column is below 512 == x.len().
                 let [got] = unsafe {
                     if unrolled {
-                        row_sum_classic::<4, 1>(&cols, &vals, &[&x])
+                        row_sum_classic::<&[u32], 4, 1>(&cols, &vals, &[&x])
                     } else {
-                        row_sum_classic::<1, 1>(&cols, &vals, &[&x])
+                        row_sum_classic::<&[u32], 1, 1>(&cols, &vals, &[&x])
                     }
                 };
                 assert_eq!(got.to_bits(), want.to_bits(), "unrolled {unrolled} len {len}");
@@ -596,21 +793,67 @@ mod tests {
         }
     }
 
-    /// The lookahead flavors equal their twins bit for bit through
-    /// both kernels on the one traversal, at 1–3 threads under every
+    /// A matrix for the storage axis of the traversal tests: every
+    /// seventh row empty, rows of 300 nonzeros (longer than
+    /// [`PREFETCH_DIST`]) every 500 rows, rows spanning column 0 to
+    /// the last column (a gap that escapes even at 16 bits) every 13
+    /// rows, and 1–7 random columns otherwise, over 70 000 columns.
+    fn stream_matrix(nrows: usize, seed: u64) -> Csr {
+        const NCOLS: u32 = 70_000;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut rowptr, mut colind, mut values) = (vec![0], Vec::new(), Vec::new());
+        for i in 0..nrows {
+            let mut cols: Vec<u32> = match i {
+                _ if i % 7 == 0 => Vec::new(),
+                _ if i % 500 == 3 => (0..300).map(|_| rng.gen_range(0..NCOLS)).collect(),
+                _ if i % 13 == 5 => vec![0, rng.gen_range(1..NCOLS - 1), NCOLS - 1],
+                _ => (0..rng.gen_range(1..8)).map(|_| rng.gen_range(0..NCOLS)).collect(),
+            };
+            cols.sort_unstable();
+            cols.dedup();
+            values.extend(cols.iter().map(|_| rng.gen_range(-1.0..1.0)));
+            colind.extend(cols);
+            rowptr.push(colind.len());
+        }
+        Csr::from_raw(nrows, NCOLS as usize, rowptr, colind, values).unwrap()
+    }
+
+    /// Kernels of one flavor over every storage of `a`: plain CSR,
+    /// then, for a classic flavor, delta-compressed CSR at both widths.
+    fn storages<'a>(
+        a: &'a Csr,
+        nthreads: usize,
+        schedule: Schedule,
+        flavor: InnerLoop,
+    ) -> Vec<CsrKernel<'a>> {
+        let mut out = vec![CsrKernel::with_options(a, nthreads, schedule, flavor)];
+        if !matches!(flavor, InnerLoop::Micro(_)) {
+            for width in [DeltaWidth::U8, DeltaWidth::U16] {
+                let d = DeltaCsr::with_width(a, width).unwrap();
+                out.push(CsrKernel::delta(d, nthreads, schedule, flavor));
+            }
+        }
+        out
+    }
+
+    /// The lookahead flavors equal their twins bit for bit on the one
+    /// traversal — through plain CSR, delta-compressed CSR at both
+    /// widths and the decomposed kernel — at 1–3 threads under every
     /// schedule. The small matrix holds fewer nonzeros than
     /// [`PREFETCH_DIST`], so every row and every static, dynamic or
     /// guided range is shorter than the distance and the lookahead is
     /// clipped at each range end (the traversal's `debug_assert!`
-    /// checks it never leaves the range); the large one adds rows
-    /// longer than the distance.
+    /// checks it never leaves the range); the large one adds empty
+    /// rows, escapes at both delta widths and rows longer than the
+    /// distance. On a banded matrix, compression shrinks the kernel's
+    /// footprint.
     #[test]
     fn lookahead_flavors_match_their_twins_bitwise() {
         use crate::decomposed::DecomposedKernel;
         use spmv_sparse::DecomposedCsr;
 
         let small = gen::circuit(20, 1, 0.5, 5, 17).unwrap();
-        let large = gen::circuit(3000, 3, 0.4, 5, 17).unwrap();
+        let large = stream_matrix(3000, 17);
         assert!(small.nnz() < PREFETCH_DIST, "{}", small.nnz());
         assert!((0..large.nrows()).any(|i| large.row_nnz(i) > PREFETCH_DIST));
         let schedules = [
@@ -633,13 +876,16 @@ mod tests {
             for nthreads in 1..=3 {
                 for schedule in schedules {
                     for (twin, lookahead) in pairs {
-                        let csr = |f| CsrKernel::with_options(a, nthreads, schedule, f);
-                        let want = product(&csr(twin));
-                        assert_eq!(
-                            product(&csr(lookahead)),
-                            want,
-                            "csr {lookahead:?} {schedule:?} at {nthreads} threads"
-                        );
+                        let twins = storages(a, nthreads, schedule, twin);
+                        let lookaheads = storages(a, nthreads, schedule, lookahead);
+                        for (twin, lookahead) in twins.iter().zip(&lookaheads) {
+                            assert_eq!(
+                                product(lookahead),
+                                product(twin),
+                                "{} at {nthreads} threads",
+                                lookahead.name()
+                            );
+                        }
                         let decomp = |f| {
                             let d = DecomposedCsr::split(a, 32).unwrap();
                             DecomposedKernel::new(d, nthreads, schedule, f)
@@ -653,19 +899,34 @@ mod tests {
                 }
             }
         }
+        let banded = gen::banded(512, 8, 1.0, 1).unwrap();
+        let [plain, d8, d16] = &storages(&banded, 2, Schedule::NnzBalanced, InnerLoop::Scalar)[..]
+        else {
+            unreachable!("three storages")
+        };
+        assert!(
+            d8.format_bytes() < plain.format_bytes() && d16.format_bytes() < plain.format_bytes()
+        );
     }
 
-    /// `run_multi` writes bit for bit what `run` writes, vector by
-    /// vector, for the four classic flavors and a menu microkernel
-    /// with its scalar twin, under every schedule at 1–3 threads, for
-    /// one, two and a full group of vectors and for a second, ragged
-    /// group. The matrix holds rows longer than [`PREFETCH_DIST`].
+    /// `run_multi` writes bit for bit what the plain CSR kernel's `run`
+    /// writes, vector by vector, for the four classic flavors on plain
+    /// and delta-compressed CSR (both widths, with escapes, empty rows
+    /// and rows longer than [`PREFETCH_DIST`]) and for a menu
+    /// microkernel with its scalar twin, under every schedule at 1–3
+    /// threads, for one, two and a full group of vectors and for a
+    /// second, ragged group. Every kernel's `run` matches too, every
+    /// flavor's product is within rounding of [`Csr::spmv`], and the
+    /// scalar flavor's is bitwise that product.
     #[test]
     fn run_multi_matches_run_bitwise() {
         use crate::micro::Lanes;
 
-        let a = gen::circuit(24_000, 3, 0.8, 6, 21).unwrap();
+        let a = stream_matrix(6000, 21);
         assert!((0..a.nrows()).any(|i| a.row_nnz(i) > PREFETCH_DIST));
+        for width in [DeltaWidth::U8, DeltaWidth::U16] {
+            assert!(DeltaCsr::with_width(&a, width).unwrap().n_exceptions() > 0, "{width:?}");
+        }
         let spec = MicroSpec::simd(Lanes::X4, 2).unwrap_or(MicroSpec::scalar(Lanes::X4, 2));
         let flavors = [
             InnerLoop::Scalar,
@@ -678,32 +939,40 @@ mod tests {
         let schedules = [
             Schedule::StaticRows,
             Schedule::NnzBalanced,
-            Schedule::Dynamic { chunk: 4096 },
+            Schedule::Dynamic { chunk: 1024 },
             Schedule::Guided,
         ];
         let xs: Vec<Vec<f64>> = (0..MAX_BATCH + 3).map(|j| random_x(a.ncols(), j as u64)).collect();
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
         let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let run = |kernel: &CsrKernel<'_>, x: &[f64]| {
+            let mut y = vec![f64::NAN; a.nrows()];
+            kernel.run(x, &mut y);
+            bits(&y)
+        };
+        let mut serial = vec![0.0; a.nrows()];
+        a.spmv(&xs[0], &mut serial);
         for flavor in flavors {
             for schedule in schedules {
                 for nthreads in 1..=3 {
-                    let kernel = CsrKernel::with_options(&a, nthreads, schedule, flavor);
-                    let want: Vec<Vec<u64>> = xs
-                        .iter()
-                        .map(|x| {
-                            let mut y = vec![f64::NAN; a.nrows()];
-                            kernel.run(x, &mut y);
-                            bits(&y)
-                        })
-                        .collect();
-                    for k in [1, 2, MAX_BATCH, MAX_BATCH + 3] {
-                        let mut ys = vec![vec![f64::NAN; a.nrows()]; k];
-                        kernel.run_multi(&x_refs[..k], &mut ys);
-                        for (j, y) in ys.iter().enumerate() {
-                            assert!(
-                                bits(y) == want[j],
-                                "{flavor:?} {schedule:?} at {nthreads} threads, k {k}: vector {j}"
-                            );
+                    let kernels = storages(&a, nthreads, schedule, flavor);
+                    let want: Vec<Vec<u64>> = xs.iter().map(|x| run(&kernels[0], x)).collect();
+                    if flavor == InnerLoop::Scalar {
+                        assert!(want[0] == bits(&serial), "{schedule:?} at {nthreads} threads");
+                    }
+                    assert_matches_serial(&a, &kernels[0]);
+                    for kernel in &kernels {
+                        let name = kernel.name();
+                        assert!(run(kernel, &xs[0]) == want[0], "{name} at {nthreads} threads");
+                        for k in [1, 2, MAX_BATCH, MAX_BATCH + 3] {
+                            let mut ys = vec![vec![f64::NAN; a.nrows()]; k];
+                            kernel.run_multi(&x_refs[..k], &mut ys);
+                            for (j, y) in ys.iter().enumerate() {
+                                assert!(
+                                    bits(y) == want[j],
+                                    "{name} at {nthreads} threads, k {k}: vector {j}"
+                                );
+                            }
                         }
                     }
                 }
@@ -740,12 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn powerlaw_batch_matches_serial() {
-        let a = gen::powerlaw(600, 7, 2.0, 11).unwrap();
-        assert_multi_bitwise_serial(&a, 4, 6);
-    }
-
-    #[test]
     fn run_multi_zeroes_empty_rows_in_every_output() {
         let a = Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap();
         let xs = [vec![1.0; 3], vec![2.0; 3], vec![0.5; 3]];
@@ -772,6 +1035,28 @@ mod tests {
             kernel.run_multi(&[&x, &x], &mut ys)
         }));
         assert!(run.is_err());
+    }
+
+    #[test]
+    fn unvalidated_delta_runs_on_the_serial_checked_path() {
+        // The row pointer ends before the last stored nonzero, so the
+        // compressed matrix fails validation (rowptr[nrows] != nnz):
+        // `run` and `run_multi` take the serial checked
+        // `DeltaCsr::spmv`, which reads the rows the pointer names,
+        // bitwise as `Csr::spmv` does.
+        let a = Csr::from_raw_unchecked(2, 3, vec![0, 1, 2], vec![0, 2, 1], vec![1.5, 2.0, 4.0]);
+        let d = DeltaCsr::from_csr(&a).unwrap();
+        let kernel = CsrKernel::delta(d, 2, Schedule::NnzBalanced, InnerLoop::UnrolledPrefetch);
+        assert!(!kernel.is_validated());
+        let x = [3.0, 5.0, 7.0];
+        let mut want = [0.0; 2];
+        a.spmv(&x, &mut want);
+        let mut y = [f64::NAN; 2];
+        kernel.run(&x, &mut y);
+        assert_eq!(y, want);
+        let mut ys = vec![vec![f64::NAN; 2]; 2];
+        kernel.run_multi(&[&x, &x], &mut ys);
+        assert!(ys.iter().all(|y| y[..] == want));
     }
 
     #[test]
@@ -802,15 +1087,6 @@ mod tests {
         let t = k.run_timed(&x, &mut y);
         assert_eq!(t.seconds.len(), 3);
         assert!(t.seconds.iter().all(|&s| s >= 0.0));
-    }
-
-    #[test]
-    fn empty_rows_produce_zero() {
-        let a = Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap();
-        let k = CsrKernel::baseline(&a, 2);
-        let mut y = vec![9.0; 3];
-        k.run(&[1.0, 1.0, 1.0], &mut y);
-        assert_eq!(y, [5.0, 0.0, 7.0]);
     }
 
     #[test]

@@ -12,10 +12,10 @@ use std::sync::Mutex;
 
 use spmv_sparse::{DecomposedCsr, MaybeValidated};
 
-use crate::baseline::{checked_fallback, witness_plan, InnerLoop};
+use crate::baseline::{checked_fallback, witness_plan, InnerLoop, Rows};
 use crate::engine::Plan;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
-use crate::variant::SpmvKernel;
+use crate::variant::{KernelConfig, SpmvKernel, DECOMPOSED};
 
 /// Parallel decomposed SpMV kernel. Owns the decomposition product
 /// and a precomputed [`Plan`] for the short-part phase; the long
@@ -32,6 +32,9 @@ pub struct DecomposedKernel {
     d: MaybeValidated<DecomposedCsr>,
     plan: Plan,
     flavor: InnerLoop,
+    /// Dispatch label of both phases: the id of the kernel config this
+    /// kernel runs (e.g. `decomposed/unrolled`).
+    label: String,
 }
 
 impl DecomposedKernel {
@@ -45,7 +48,8 @@ impl DecomposedKernel {
         let d = MaybeValidated::new(d);
         let plan = witness_plan(&d, schedule, nthreads, |d| d.short().rowptr());
         let flavor = flavor.gather_checked(d.get().ncols());
-        DecomposedKernel { d, plan, flavor }
+        let label = KernelConfig { format: DECOMPOSED, row: flavor, schedule }.id();
+        DecomposedKernel { d, plan, flavor, label }
     }
 
     /// Whether the matrix passed structural verification (and the
@@ -69,7 +73,7 @@ impl DecomposedKernel {
         // the reduction order deterministic (t = 0..nthreads), so the
         // result is bitwise-stable across runs.
         let partials: Mutex<Vec<Option<Vec<f64>>>> = Mutex::new(vec![None; nthreads]);
-        let times = self.plan.engine().run(&|t| {
+        let times = self.plan.engine().run_labeled(&self.label, &|t| {
             let mut local = vec![0.0f64; nlong];
             for (k, lr) in d.long_rows().iter().enumerate() {
                 let len = lr.end - lr.start;
@@ -107,13 +111,13 @@ impl SpmvKernel for DecomposedKernel {
             MaybeValidated::Validated(v) => {
                 let d = v.get();
                 let yp = YPtr(y.as_mut_ptr());
-                let mut times = self.plan.execute(|range| {
+                let mut times = self.plan.execute_labeled(&self.label, |range| {
                     // SAFETY: the decomposition carries a Validated
                     // witness (the short part's columns are < ncols ==
                     // x.len(), asserted above); `execute` hands each
                     // worker disjoint row ranges of a live `y` of
                     // `nrows` elements; the flavor is gather-checked.
-                    unsafe { self.flavor.run_rows::<1>(d.short(), range, &[x], &[yp]) };
+                    unsafe { self.flavor.run_rows::<1>(Rows::Csr(d.short()), range, &[x], &[yp]) };
                 });
                 let long_secs = self.long_phase(d, x, y);
                 for (a, b) in times.seconds.iter_mut().zip(long_secs) {
@@ -204,6 +208,28 @@ mod tests {
         for (u, v) in y.iter().zip(&y_ref) {
             assert!((u - v).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn both_phases_dispatch_under_the_config_id() {
+        use spmv_telemetry::{tracer, EventKind};
+        // The caller-side events of a dispatch carry its tag, which
+        // sets this run's events apart from other tests' dispatches
+        // on the process tracer.
+        const TAG: u64 = 0xdec0_0000_0017;
+        let a = gen::circuit(1500, 2, 0.5, 4, 13).unwrap();
+        let d = DecomposedCsr::split(&a, 32).unwrap();
+        assert!(!d.long_rows().is_empty());
+        let k = DecomposedKernel::new(d, 2, Schedule::NnzBalanced, InnerLoop::Unrolled);
+        let x = vec![1.0; 1500];
+        let mut y = vec![0.0; 1500];
+        tracer().set_enabled(true);
+        crate::engine::with_dispatch_tag(TAG, || k.run(&x, &mut y));
+        tracer().set_enabled(false);
+        let events: Vec<_> = tracer().snapshot().into_iter().filter(|e| e.arg == TAG).collect();
+        let dispatches = events.iter().filter(|e| e.kind == EventKind::Dispatch).count();
+        assert_eq!(dispatches, 2, "{events:?}");
+        assert!(events.iter().all(|e| e.name == "decomposed/unrolled"), "{events:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! | paper class | optimization | module |
 //! |---|---|---|
-//! | `MB` | column-index delta compression + vectorization | [`compressed`] |
+//! | `MB` | column-index delta compression + vectorization | [`baseline`] (column stream of the one row traversal) |
 //! | `ML` | software prefetching of `x` along the flat nonzero stream | [`baseline`] (row kernel) |
 //! | `IMB` | long-row decomposition / `auto` scheduling | [`decomposed`], [`schedule`] |
 //! | `CMP` | inner-loop unrolling + vectorization | [`baseline`] (row kernel) |
@@ -38,7 +38,6 @@
 //! reductions are bitwise independent of the thread count.
 
 pub mod baseline;
-pub mod compressed;
 pub mod decomposed;
 pub mod dense;
 pub mod engine;

@@ -421,7 +421,7 @@ pub fn specs_for(ncols: usize) -> Vec<MicroSpec> {
 
 /// One candidate configuration in the tuner's menu search: a CSR
 /// micro row kernel, a SELL-C-σ slice height, or delta-compressed
-/// indices (whose per-row index width is chosen by the format
+/// indices (whose index width is chosen per matrix by the format
 /// builder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MenuEntry {
@@ -438,7 +438,8 @@ pub enum MenuEntry {
         /// Slice height `C` (rows per SIMD-lockstep chunk).
         chunk: usize,
     },
-    /// Delta-compressed column indices (1/2/4-byte deltas per row).
+    /// Delta-compressed column indices (one 8- or 16-bit delta width
+    /// per matrix, with 32-bit escapes) on the scalar row loop.
     Delta,
 }
 
@@ -463,7 +464,7 @@ impl MenuEntry {
     }
 
     /// Stable identifier used in traces and bench output: the id of
-    /// the entry's config (`csr/avx2-a2`, `sell/c8`, `delta`).
+    /// the entry's config (`csr/avx2-a2`, `sell/c8`, `delta/scalar`).
     pub fn id(&self) -> String {
         self.config().id()
     }

@@ -24,7 +24,6 @@ use std::time::Instant;
 use spmv_sparse::{Csr, DecomposedCsr, DeltaCsr, SellCs};
 
 use crate::baseline::{CsrKernel, InnerLoop};
-use crate::compressed::DeltaKernel;
 use crate::decomposed::DecomposedKernel;
 use crate::micro::MenuEntry;
 use crate::schedule::{Schedule, ThreadTimes};
@@ -104,10 +103,12 @@ impl Optimization {
 pub enum Format {
     /// Plain CSR, traversed with the config's row kernel.
     Csr,
-    /// Delta-compressed column indices (1/2/4-byte deltas per row,
-    /// decoded by the format's own loop). A matrix whose deltas cannot
-    /// be encoded lowers as CSR with the config's row kernel and
-    /// schedule.
+    /// Delta-compressed column indices (one 8- or 16-bit delta width
+    /// per matrix, with 32-bit escapes), decoded inside the CSR
+    /// traversal with the config's row kernel. A matrix whose deltas
+    /// cannot be encoded, or a microkernel row (it gathers from a
+    /// plain column slice), lowers as CSR with the config's row kernel
+    /// and schedule.
     Delta,
     /// SELL-C-σ with slice height `chunk` and σ = 32 × chunk.
     Sell {
@@ -127,28 +128,33 @@ pub enum Format {
 /// and the `sell` variant's format.
 const SELL_8: Format = Format::Sell { chunk: 8 };
 
+/// The format a built decomposed kernel records: its short part runs
+/// as CSR, whatever the config's `otherwise`.
+pub(crate) const DECOMPOSED: Format = Format::Decomposed { otherwise: &Format::Csr };
+
 /// One point of the kernel space: what [`build_kernel`] and
 /// [`build_micro_kernel`] lower.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Storage format.
     pub format: Format,
-    /// Row kernel of the CSR traversals (the plain format, the
-    /// decomposed short part, and the delta fallback).
+    /// Row kernel of the CSR traversals (plain, delta-compressed, and
+    /// the decomposed short part). SELL's chunk loop has none: a built
+    /// SELL config records [`InnerLoop::Scalar`].
     pub row: InnerLoop,
     /// Row (or SELL chunk) schedule.
     pub schedule: Schedule,
 }
 
 impl KernelConfig {
-    /// Stable identifier, also the dispatch label of the CSR, delta and
-    /// SELL kernels: the format, the row kernel where the format runs
-    /// one, and the schedule when it is not the nnz-balanced default
-    /// (`csr/avx2-a2`, `csr/unrolled@Guided`, `sell/c8`, `delta`).
+    /// Stable identifier, also the dispatch label of every kernel: the
+    /// format, the row kernel where the format runs one, and the
+    /// schedule when it is not the nnz-balanced default (`csr/avx2-a2`,
+    /// `csr/unrolled@Guided`, `sell/c8`, `delta/scalar`).
     pub fn id(&self) -> String {
         let id = match self.format {
             Format::Csr => format!("csr/{}", self.row.id()),
-            Format::Delta => "delta".to_string(),
+            Format::Delta => format!("delta/{}", self.row.id()),
             Format::Sell { chunk } => format!("sell/c{chunk}"),
             Format::Decomposed { .. } => format!("decomposed/{}", self.row.id()),
         };
@@ -409,9 +415,13 @@ pub fn build_micro_kernel<'a>(a: &'a Csr, entry: MenuEntry, nthreads: usize) -> 
 /// The two fallback rules:
 /// * `Decomposed` on a matrix without long rows lowers its `otherwise`
 ///   format (decomposition is a no-op there);
-/// * `Delta` on a matrix whose deltas cannot be encoded (checked
-///   narrowing in the builder) lowers as CSR with the same row kernel
-///   and schedule.
+/// * `Delta` with a microkernel row, or on a matrix whose deltas
+///   cannot be encoded (checked narrowing in the builder), lowers as
+///   CSR with the same row kernel and schedule.
+///
+/// A built SELL config records the scalar row, since its chunk loop
+/// runs none, and a built decomposed config records
+/// [`DECOMPOSED`]: every built config then names exactly one kernel.
 fn lower<'a>(
     a: &'a Csr,
     mut config: KernelConfig,
@@ -423,11 +433,13 @@ fn lower<'a>(
         let KernelConfig { format, row, schedule } = config;
         match format {
             Format::Csr => break Box::new(CsrKernel::with_options(a, nthreads, schedule, row)),
+            Format::Delta if matches!(row, InnerLoop::Micro(_)) => config.format = Format::Csr,
             Format::Delta => match DeltaCsr::from_csr(a) {
-                Ok(d) => break Box::new(DeltaKernel::new(d, nthreads, schedule)),
+                Ok(d) => break Box::new(CsrKernel::delta(d, nthreads, schedule, row)),
                 Err(_) => config.format = Format::Csr,
             },
             Format::Sell { chunk } => {
+                config.row = InnerLoop::Scalar;
                 let chunk = chunk.max(1);
                 let s = SellCs::from_csr(a, chunk, 32 * chunk).expect("sigma >= chunk");
                 break Box::new(SellKernel::new(s, nthreads, schedule));
@@ -435,6 +447,7 @@ fn lower<'a>(
             Format::Decomposed { otherwise } => match DecomposedCsr::auto_threshold(a, nthreads) {
                 Some(threshold) => {
                     let d = DecomposedCsr::split(a, threshold).expect("threshold >= 1");
+                    config.format = DECOMPOSED;
                     break Box::new(DecomposedKernel::new(d, nthreads, schedule, row));
                 }
                 None => config.format = *otherwise,
@@ -449,6 +462,7 @@ fn lower<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::micro::MicroSpec;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use spmv_sparse::gen;
@@ -481,24 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_builds_and_matches_reference() {
-        let a = gen::circuit(1200, 2, 0.4, 5, 3).unwrap();
-        let mut rng = SmallRng::seed_from_u64(2);
-        let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut y_ref = vec![0.0; a.nrows()];
-        a.spmv(&x, &mut y_ref);
-        for variant in KernelVariant::singles_and_pairs() {
-            let built = build_kernel(&a, variant, 3);
-            let mut y = vec![0.0; a.nrows()];
-            built.kernel.run(&x, &mut y);
-            for (i, (u, v)) in y.iter().zip(&y_ref).enumerate() {
-                assert!((u - v).abs() < 1e-9, "{variant}: row {i} {u} vs {v}");
-            }
-            assert!(built.prep_seconds >= 0.0);
-        }
-    }
-
-    #[test]
     fn decompose_falls_back_without_long_rows() {
         let a = gen::banded(400, 3, 1.0, 1).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
@@ -520,17 +516,10 @@ mod tests {
         assert_eq!(point(Optimization::Compress), MenuEntry::Delta.config());
         assert_eq!(point(Optimization::SlicedEll), MenuEntry::Sell { chunk: 8 }.config());
         assert_eq!(MenuEntry::Unrolled.id(), "csr/unrolled");
-        assert_eq!(MenuEntry::Delta.id(), "delta");
+        assert_eq!(MenuEntry::Delta.id(), "delta/scalar");
         assert_eq!(MenuEntry::Sell { chunk: 8 }.id(), "sell/c8");
         let guided = KernelVariant::of(&[Optimization::Vectorize, Optimization::AutoSchedule]);
         assert_eq!(guided.config().id(), "csr/unrolled@Guided");
-    }
-
-    #[test]
-    fn decompose_used_when_long_rows_exist() {
-        let a = gen::circuit(4000, 3, 0.5, 4, 9).unwrap();
-        let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
-        assert!(built.kernel.name().starts_with("decomposed"), "got {}", built.kernel.name());
     }
 
     #[test]
@@ -539,6 +528,71 @@ mod tests {
         let built = build_kernel(&a, KernelVariant::single(Optimization::Compress), 2);
         assert!(built.kernel.name().starts_with("delta"));
         assert!(built.kernel.format_bytes() < a.footprint_bytes());
+        // Compression takes the row kernel the other optimizations
+        // pick; a microkernel row lowers as CSR.
+        let comp = |o| KernelVariant::of(&[Optimization::Compress, o]);
+        assert_eq!(
+            build_kernel(&a, comp(Optimization::Vectorize), 2).config.id(),
+            "delta/unrolled"
+        );
+        assert_eq!(build_kernel(&a, comp(Optimization::Prefetch), 2).config.id(), "delta/prefetch");
+        let spec = MicroSpec::scalar(crate::micro::Lanes::X4, 1);
+        let micro = KernelConfig {
+            format: Format::Delta,
+            row: InnerLoop::Micro(spec),
+            schedule: Schedule::NnzBalanced,
+        };
+        let built = lower(&a, micro, 2, |_| KernelVariant::BASELINE);
+        assert_eq!(built.config, MenuEntry::baseline().config());
+    }
+
+    #[test]
+    fn equal_built_ids_name_one_kernel() {
+        // Every classic variant, the SELL variant with and without a
+        // row kernel, and every menu entry, built on one matrix with
+        // long rows: each computes the product, the long rows are
+        // decomposed, and builds with equal config ids have equal
+        // configs and bitwise-equal outputs.
+        let a = gen::circuit(4000, 3, 0.5, 4, 9).unwrap();
+        let mut rng = SmallRng::seed_from_u64(2);
+        let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut y_ref = vec![0.0; a.nrows()];
+        a.spmv(&x, &mut y_ref);
+        let sell = KernelVariant::single(Optimization::SlicedEll);
+        let mut builds: Vec<(String, BuiltKernel<'_>)> = std::iter::once(KernelVariant::BASELINE)
+            .chain(KernelVariant::singles_and_pairs())
+            .chain([sell, sell.with(Optimization::Vectorize)])
+            .map(|v| (v.to_string(), build_kernel(&a, v, 4)))
+            .collect();
+        builds.extend(
+            crate::micro::menu(a.ncols())
+                .into_iter()
+                .map(|e| (e.id(), build_micro_kernel(&a, e, 4))),
+        );
+        let outputs: Vec<Vec<u64>> = builds
+            .iter()
+            .map(|(name, built)| {
+                let mut y = vec![f64::NAN; a.nrows()];
+                built.kernel.run(&x, &mut y);
+                for (i, (u, v)) in y.iter().zip(&y_ref).enumerate() {
+                    assert!((u - v).abs() < 1e-9, "{name}: row {i} {u} vs {v}");
+                }
+                y.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        let decomp = builds.iter().find(|(name, _)| name == "decomp").unwrap();
+        assert_eq!(decomp.1.config.id(), "decomposed/scalar");
+        let mut aliases = 0;
+        for (i, (name, built)) in builds.iter().enumerate() {
+            for (j, (other, twin)) in builds.iter().enumerate().skip(i + 1) {
+                if built.config.id() == twin.config.id() {
+                    aliases += 1;
+                    assert_eq!(built.config, twin.config, "{name} and {other}");
+                    assert!(outputs[i] == outputs[j], "{name} and {other}");
+                }
+            }
+        }
+        assert!(aliases >= 4, "{aliases}");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 
 use spmv_machine::cache::{Cache, CacheConfig};
 use spmv_machine::MachineModel;
+use spmv_sparse::delta::count_escapes;
 use spmv_sparse::features::working_set_bytes;
-use spmv_sparse::{Csr, DeltaWidth};
+use spmv_sparse::Csr;
 
 /// Per-row miss counters of the `x` stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -221,19 +222,7 @@ fn sell_slots(row_nnz: &[u32], c: usize, sigma: usize) -> usize {
 /// compressed matrix: picks the cheaper of 8-/16-bit widths exactly as
 /// [`spmv_sparse::DeltaCsr::from_csr`] does.
 fn delta_footprint(a: &Csr) -> (usize, f64) {
-    let mut esc8 = 0usize;
-    let mut esc16 = 0usize;
-    for (_, cols, _) in a.rows() {
-        for w in cols.windows(2) {
-            let gap = w[1] - w[0];
-            if gap > DeltaWidth::U8.max_inline() {
-                esc8 += 1;
-            }
-            if gap > DeltaWidth::U16.max_inline() {
-                esc16 += 1;
-            }
-        }
-    }
+    let (esc8, esc16) = count_escapes(a);
     let nnz = a.nnz();
     let n = a.nrows();
     let stream8 = nnz + 4 * esc8;

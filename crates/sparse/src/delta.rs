@@ -10,7 +10,7 @@
 
 use crate::csr::Csr;
 use crate::error::SparseError;
-use crate::Result;
+use crate::{index_u32, Result};
 
 /// Width of the delta stream. One width per matrix (paper: "8- or
 /// 16-bit deltas wherever possible, but never both").
@@ -35,9 +35,15 @@ impl DeltaWidth {
     /// Largest delta representable without escaping.
     #[inline]
     pub fn max_inline(self) -> u32 {
+        self.sentinel() - 1
+    }
+
+    /// The stored value that escapes to the 32-bit exception stream.
+    #[inline]
+    fn sentinel(self) -> u32 {
         match self {
-            DeltaWidth::U8 => u32::from(u8::MAX) - 1,
-            DeltaWidth::U16 => u32::from(u16::MAX) - 1,
+            DeltaWidth::U8 => u32::from(u8::MAX),
+            DeltaWidth::U16 => u32::from(u16::MAX),
         }
     }
 }
@@ -66,7 +72,8 @@ impl Deltas {
 ///   (0 for empty rows);
 /// * `deltas[j]` — gap to the previous column for the 2nd.. nonzeros
 ///   of a row; the first slot of each row is a padding 0 so streams
-///   stay aligned with `values`;
+///   stay aligned with `values`. Decoding adds every slot of row `i`,
+///   padding included, onto `firstcol[i]`;
 /// * sentinel deltas escape to `exceptions`, consumed in row-major
 ///   order; `exc_ptr[i]` points at row `i`'s first exception.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,79 +117,58 @@ impl DeltaCsr {
     /// compression requires sorted rows) or an index stream would
     /// overflow its storage type.
     pub fn with_width(a: &Csr, width: DeltaWidth) -> Result<DeltaCsr> {
-        let corrupt = |detail: String| SparseError::Corrupt { format: "delta-csr", detail };
-        let nrows = a.nrows();
-        let nnz = a.nnz();
-        let max_inline = width.max_inline();
-        let mut firstcol = Vec::with_capacity(nrows);
-        let mut exceptions: Vec<u32> = Vec::new();
-        let mut exc_ptr = Vec::with_capacity(nrows + 1);
-        let mut d8 = Vec::new();
-        let mut d16 = Vec::new();
-        match width {
-            DeltaWidth::U8 => d8.reserve(nnz),
-            DeltaWidth::U16 => d16.reserve(nnz),
-        }
-        let mut push = |v: u32| -> Result<()> {
-            match width {
-                DeltaWidth::U8 => d8.push(u8::try_from(v).map_err(|_| SparseError::Corrupt {
-                    format: "delta-csr",
-                    detail: format!("delta {v} does not fit the 8-bit stream"),
-                })?),
-                DeltaWidth::U16 => {
-                    d16.push(u16::try_from(v).map_err(|_| SparseError::Corrupt {
-                        format: "delta-csr",
-                        detail: format!("delta {v} does not fit the 16-bit stream"),
-                    })?)
-                }
-            }
-            Ok(())
+        let mut d = DeltaCsr {
+            nrows: a.nrows(),
+            ncols: a.ncols(),
+            width,
+            rowptr: a.rowptr().to_vec(),
+            firstcol: Vec::with_capacity(a.nrows()),
+            deltas: Deltas::U8(Vec::new()),
+            exceptions: Vec::new(),
+            exc_ptr: Vec::with_capacity(a.nrows() + 1),
+            values: a.values().to_vec(),
         };
-        let sentinel = match width {
-            DeltaWidth::U8 => u32::from(u8::MAX),
-            DeltaWidth::U16 => u32::from(u16::MAX),
+        d.deltas = match width {
+            DeltaWidth::U8 => Deltas::U8(d.encode(a)?),
+            DeltaWidth::U16 => Deltas::U16(d.encode(a)?),
+        };
+        Ok(d)
+    }
+
+    /// Fills `firstcol`, `exceptions` and `exc_ptr` from `a` and
+    /// returns the delta stream in words of type `T`. A row's first
+    /// slot is its gap to itself, the padding 0.
+    fn encode<T: TryFrom<u32>>(&mut self, a: &Csr) -> Result<Vec<T>> {
+        let corrupt = |detail: String| SparseError::Corrupt { format: "delta-csr", detail };
+        let (max_inline, sentinel) = (self.width.max_inline(), self.width.sentinel());
+        let word = |v: u32| {
+            T::try_from(v).map_err(|_| corrupt(format!("delta {v} does not fit the delta stream")))
         };
         let cursor = |n: usize| {
             u32::try_from(n)
                 .map_err(|_| corrupt("exception count overflows the 32-bit cursor".into()))
         };
+        let mut deltas = Vec::with_capacity(a.nnz());
         for (i, cols, _) in a.rows() {
-            exc_ptr.push(cursor(exceptions.len())?);
-            firstcol.push(cols.first().copied().unwrap_or(0));
+            self.exc_ptr.push(cursor(self.exceptions.len())?);
+            let mut prev = cols.first().copied().unwrap_or(0);
+            self.firstcol.push(prev);
             for (k, &c) in cols.iter().enumerate() {
-                if k == 0 {
-                    push(0)?; // alignment padding; column is in firstcol
-                    continue;
-                }
-                let gap = c.checked_sub(cols[k - 1]).ok_or_else(|| {
+                let gap = c.checked_sub(prev).ok_or_else(|| {
                     corrupt(format!(
                         "columns of row {i} decrease at position {k}; \
                          delta compression requires sorted rows"
                     ))
                 })?;
-                if gap <= max_inline {
-                    push(gap)?;
-                } else {
-                    push(sentinel)?;
-                    exceptions.push(gap);
+                prev = c;
+                if gap > max_inline {
+                    self.exceptions.push(gap);
                 }
+                deltas.push(word(if gap > max_inline { sentinel } else { gap })?);
             }
         }
-        exc_ptr.push(cursor(exceptions.len())?);
-        Ok(DeltaCsr {
-            nrows,
-            ncols: a.ncols(),
-            width,
-            rowptr: a.rowptr().to_vec(),
-            firstcol,
-            deltas: match width {
-                DeltaWidth::U8 => Deltas::U8(d8),
-                DeltaWidth::U16 => Deltas::U16(d16),
-            },
-            exceptions,
-            exc_ptr,
-            values: a.values().to_vec(),
-        })
+        self.exc_ptr.push(cursor(self.exceptions.len())?);
+        Ok(deltas)
     }
 
     /// Number of rows.
@@ -239,259 +225,107 @@ impl DeltaCsr {
             + self.values.len() * std::mem::size_of::<f64>()
     }
 
-    /// Serial SpMV over the compressed format: `y = A * x`.
+    /// Serial SpMV over the compressed format, `y = A * x`, with every
+    /// index checked: the fallback for a matrix that failed validation.
     ///
     /// # Panics
-    /// Panics if vector lengths do not match the matrix shape.
+    /// Panics if vector lengths do not match the matrix shape, or on a
+    /// stream that does not decode in bounds.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "x length");
         assert_eq!(y.len(), self.nrows, "y length");
-        self.spmv_rows(0..self.nrows, x, y);
-    }
-
-    /// SpMV restricted to a contiguous row range (building block for
-    /// the parallel kernel in `spmv-kernels`).
-    pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
-        match &self.deltas {
-            Deltas::U8(d) => {
-                self.spmv_rows_impl(rows, x, y, d, u32::from(u8::MAX), |v| u32::from(*v))
-            }
-            Deltas::U16(d) => {
-                self.spmv_rows_impl(rows, x, y, d, u32::from(u16::MAX), |v| u32::from(*v))
-            }
-        }
-    }
-
-    /// Like [`DeltaCsr::spmv_rows`] but with every per-element bounds
-    /// check elided, writing into a range-local output slice
-    /// (`out[k] = (A*x)[rows.start + k]`, so parallel callers can hand
-    /// each worker a disjoint sub-slice of `y`) — the compressed-format
-    /// fast path.
-    ///
-    /// # Safety
-    /// * `self` must hold a structure that passed
-    ///   [`crate::validate::ValidateFormat::validate_structure`]
-    ///   (i.e. the caller holds a [`crate::Validated`] witness): the
-    ///   delta streams decode strictly in-bounds and the exception
-    ///   cursor never overruns.
-    /// * `rows.end <= self.nrows()`.
-    /// * `x.len() == self.ncols()`.
-    /// * `out.len() == rows.len()`.
-    pub unsafe fn spmv_rows_into_unchecked(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        out: &mut [f64],
-    ) {
-        match &self.deltas {
-            // SAFETY: forwarded contract; sentinel matches the stream width.
-            Deltas::U8(d) => unsafe {
-                self.spmv_rows_into_unchecked_impl(rows, x, out, d, u32::from(u8::MAX))
-            },
-            // SAFETY: forwarded contract; sentinel matches the stream width.
-            Deltas::U16(d) => unsafe {
-                self.spmv_rows_into_unchecked_impl(rows, x, out, d, u32::from(u16::MAX))
-            },
-        }
-    }
-
-    /// # Safety
-    /// Same contract as [`DeltaCsr::spmv_rows_into_unchecked`];
-    /// additionally `deltas`/`sentinel` must be the matrix's own
-    /// stream and its width's sentinel.
-    unsafe fn spmv_rows_into_unchecked_impl<T: Copy + Into<u32>>(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        out: &mut [f64],
-        deltas: &[T],
-        sentinel: u32,
-    ) {
-        let start = rows.start;
-        for i in rows {
-            // SAFETY: the validated rowptr has nrows + 1 entries and the
-            // caller guarantees rows.end <= nrows, so i and i + 1 are in
-            // bounds for rowptr and i is in bounds for exc_ptr/firstcol.
-            let (s, e, mut exc, mut col) = unsafe {
-                (
-                    *self.rowptr.get_unchecked(i),
-                    *self.rowptr.get_unchecked(i + 1),
-                    *self.exc_ptr.get_unchecked(i) as usize,
-                    *self.firstcol.get_unchecked(i),
-                )
-            };
+        for (i, yi) in y.iter_mut().enumerate() {
             let mut sum = 0.0;
-            for j in s..e {
-                if j > s {
-                    // SAFETY: the validated rowptr is monotone with
-                    // rowptr[nrows] == deltas.len(), so j < deltas.len().
-                    let d: u32 = unsafe { *deltas.get_unchecked(j) }.into();
-                    let gap = if d == sentinel {
-                        // SAFETY: validation decoded every stream and
-                        // proved the exception cursor stays within
-                        // exceptions.len() for each sentinel consumed.
-                        let g = unsafe { *self.exceptions.get_unchecked(exc) };
-                        exc += 1;
-                        g
-                    } else {
-                        d
-                    };
-                    col += gap;
-                }
-                // SAFETY: j < values.len() as above; validation decoded
-                // this exact stream and proved col < ncols at every
-                // element, and the caller guarantees x.len() == ncols.
-                sum += unsafe { *self.values.get_unchecked(j) * *x.get_unchecked(col as usize) };
-            }
-            // SAFETY: i - start < rows.len() <= out.len() by contract.
-            unsafe {
-                *out.get_unchecked_mut(i - start) = sum;
-            }
-        }
-    }
-
-    #[inline]
-    fn spmv_rows_impl<T>(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        y: &mut [f64],
-        deltas: &[T],
-        sentinel: u32,
-        widen: impl Fn(&T) -> u32,
-    ) {
-        for i in rows {
-            let (s, e) = (self.rowptr[i], self.rowptr[i + 1]);
-            let mut exc = self.exc_ptr[i] as usize;
-            let mut col = self.firstcol[i];
-            let mut sum = 0.0;
-            // Indexed loop: `j` addresses `deltas` and `values` in
-            // lockstep while threading the exception cursor.
-            #[allow(clippy::needless_range_loop)]
-            for j in s..e {
-                if j > s {
-                    let d = widen(&deltas[j]);
-                    let gap = if d == sentinel {
-                        let g = self.exceptions[exc];
-                        exc += 1;
-                        g
-                    } else {
-                        d
-                    };
-                    col += gap;
-                }
-                sum += self.values[j] * x[col as usize];
-            }
-            y[i] = sum;
+            self.decode_row(i, self.exc_ptr[i] as usize, |j, col| sum += self.values[j] * x[col])
+                .expect("delta stream decodes in bounds");
+            *yi = sum;
         }
     }
 
     /// Decompresses back to plain CSR (exact structural roundtrip).
     ///
     /// # Errors
-    /// Propagates validation errors; a successful compression always
-    /// roundtrips.
+    /// Propagates decode and validation errors; a successful
+    /// compression always roundtrips.
     pub fn to_csr(&self) -> Result<Csr> {
         let mut colind = Vec::with_capacity(self.nnz());
-        match &self.deltas {
-            Deltas::U8(d) => {
-                self.decode_into(&mut colind, d, u32::from(u8::MAX), |v| u32::from(*v))
-            }
-            Deltas::U16(d) => {
-                self.decode_into(&mut colind, d, u32::from(u16::MAX), |v| u32::from(*v))
-            }
+        for i in 0..self.nrows {
+            self.decode_row(i, self.exc_ptr[i] as usize, |_, col| colind.push(index_u32(col)))?;
         }
         Csr::from_raw(self.nrows, self.ncols, self.rowptr.clone(), colind, self.values.clone())
     }
 
-    fn decode_into<T>(
-        &self,
-        colind: &mut Vec<u32>,
-        deltas: &[T],
-        sentinel: u32,
-        widen: impl Fn(&T) -> u32,
-    ) {
-        for i in 0..self.nrows {
-            let (s, e) = (self.rowptr[i], self.rowptr[i + 1]);
-            let mut exc = self.exc_ptr[i] as usize;
-            let mut col = self.firstcol[i];
-            // Indexed loop: `j` addresses `deltas` while threading the
-            // exception cursor.
-            #[allow(clippy::needless_range_loop)]
-            for j in s..e {
-                if j > s {
-                    let d = widen(&deltas[j]);
-                    col += if d == sentinel {
-                        let g = self.exceptions[exc];
-                        exc += 1;
-                        g
-                    } else {
-                        d
-                    };
-                }
-                colind.push(col);
-            }
+    /// Replays row `i`'s stream from exception `exc` on, exactly as the
+    /// cursors of [`DeltaStream`] decode it but with every index
+    /// checked, calling `visit(j, column)` for each nonzero `j` in
+    /// order. Returns the exception cursor after the row.
+    ///
+    /// # Errors
+    /// [`SparseError::Corrupt`] if the row consumes more exceptions
+    /// than are stored or decodes a column `>= ncols`.
+    fn decode_row(&self, i: usize, exc: usize, visit: impl FnMut(usize, usize)) -> Result<usize> {
+        match &self.deltas {
+            Deltas::U8(d) => self.decode_row_in(d, i, exc, visit),
+            Deltas::U16(d) => self.decode_row_in(d, i, exc, visit),
         }
     }
 
-    /// Full decode check behind [`crate::validate::ValidateFormat`]:
-    /// replays every delta stream and proves each decoded column is in
-    /// bounds and the exception cursor advances exactly as `exc_ptr`
-    /// claims.
-    fn validate_decode<T: Copy + Into<u32>>(&self, deltas: &[T], sentinel: u32) -> Result<()> {
+    fn decode_row_in<T: Copy + Into<u32>>(
+        &self,
+        deltas: &[T],
+        i: usize,
+        mut exc: usize,
+        mut visit: impl FnMut(usize, usize),
+    ) -> Result<usize> {
         let corrupt = |detail: String| SparseError::Corrupt { format: "delta-csr", detail };
-        let mut exc = 0usize;
-        for i in 0..self.nrows {
-            if self.exc_ptr[i] as usize != exc {
+        let sentinel = self.width.sentinel();
+        // Accumulate in u64 so a corrupted stream cannot wrap the
+        // column accumulator past the bounds check.
+        let mut col = u64::from(self.firstcol[i]);
+        let (s, e) = (self.rowptr[i], self.rowptr[i + 1]);
+        for (j, &d) in (s..e).zip(&deltas[s..e]) {
+            let d: u32 = d.into();
+            col += if d == sentinel {
+                let g = self.exceptions.get(exc).copied().ok_or_else(|| {
+                    corrupt(format!(
+                        "row {i} consumes more exceptions than the {} stored",
+                        self.exceptions.len()
+                    ))
+                })?;
+                exc += 1;
+                u64::from(g)
+            } else {
+                u64::from(d)
+            };
+            if col >= self.ncols as u64 {
                 return Err(corrupt(format!(
-                    "exc_ptr[{i}] = {} but {exc} exceptions consumed before row {i}",
-                    self.exc_ptr[i]
+                    "row {i} decodes column {col} >= ncols = {}",
+                    self.ncols
                 )));
             }
-            let (s, e) = (self.rowptr[i], self.rowptr[i + 1]);
-            // Accumulate in u64 so a corrupted stream cannot wrap the
-            // column accumulator past the bounds check.
-            let mut col = u64::from(self.firstcol[i]);
-            // Indexed loop: `j` addresses `deltas` while threading the
-            // exception cursor.
-            #[allow(clippy::needless_range_loop)]
-            for j in s..e {
-                if j > s {
-                    let d: u32 = deltas[j].into();
-                    col += if d == sentinel {
-                        let g = self.exceptions.get(exc).copied().ok_or_else(|| {
-                            corrupt(format!(
-                                "row {i} consumes more exceptions than the {} stored",
-                                self.exceptions.len()
-                            ))
-                        })?;
-                        exc += 1;
-                        u64::from(g)
-                    } else {
-                        u64::from(d)
-                    };
-                }
-                if col >= self.ncols as u64 {
-                    return Err(corrupt(format!(
-                        "row {i} decodes column {col} >= ncols = {}",
-                        self.ncols
-                    )));
-                }
-            }
+            visit(j, col as usize);
         }
-        if exc != self.exceptions.len() {
-            return Err(corrupt(format!(
-                "{} exceptions stored but only {exc} consumed by the streams",
-                self.exceptions.len()
-            )));
+        Ok(exc)
+    }
+
+    /// The column stream the kernels' row traversal reads, typed by
+    /// the matrix's delta width.
+    pub fn columns(&self) -> DeltaColumns<'_> {
+        match &self.deltas {
+            Deltas::U8(d) => DeltaColumns::U8(self.stream(d)),
+            Deltas::U16(d) => DeltaColumns::U16(self.stream(d)),
         }
-        if self.exc_ptr[self.nrows] as usize != exc {
-            return Err(corrupt(format!(
-                "exc_ptr tail = {} but the streams consume {exc} exceptions",
-                self.exc_ptr[self.nrows]
-            )));
+    }
+
+    fn stream<'a, T>(&'a self, deltas: &'a [T]) -> DeltaStream<'a, T> {
+        DeltaStream {
+            rowptr: &self.rowptr,
+            firstcol: &self.firstcol,
+            deltas,
+            exceptions: &self.exceptions,
+            exc_ptr: &self.exc_ptr,
+            sentinel: self.width.sentinel(),
         }
-        Ok(())
     }
 }
 
@@ -524,15 +358,194 @@ impl crate::validate::ValidateFormat for DeltaCsr {
                 self.nrows + 1
             )));
         }
-        match &self.deltas {
-            Deltas::U8(d) => self.validate_decode(d, u32::from(u8::MAX)),
-            Deltas::U16(d) => self.validate_decode(d, u32::from(u16::MAX)),
+        // The full decode replay: every column in bounds, and the
+        // exception cursor advancing exactly as `exc_ptr` claims.
+        let mut exc = 0;
+        for i in 0..self.nrows {
+            if self.exc_ptr[i] as usize != exc {
+                return Err(corrupt(format!(
+                    "exc_ptr[{i}] = {} but {exc} exceptions consumed before row {i}",
+                    self.exc_ptr[i]
+                )));
+            }
+            exc = self.decode_row(i, exc, |_, _| ())?;
+        }
+        if exc != self.exceptions.len() {
+            return Err(corrupt(format!(
+                "{} exceptions stored but only {exc} consumed by the streams",
+                self.exceptions.len()
+            )));
+        }
+        if self.exc_ptr[self.nrows] as usize != exc {
+            return Err(corrupt(format!(
+                "exc_ptr tail = {} but the streams consume {exc} exceptions",
+                self.exc_ptr[self.nrows]
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The column stream of a [`DeltaCsr`] ([`DeltaCsr::columns`]), one
+/// variant per [`DeltaWidth`], so a traversal matches the width once
+/// per call rather than once per nonzero.
+#[derive(Debug, Clone, Copy)]
+pub enum DeltaColumns<'a> {
+    /// 8-bit deltas.
+    U8(DeltaStream<'a, u8>),
+    /// 16-bit deltas.
+    U16(DeltaStream<'a, u16>),
+}
+
+/// The columns of a [`DeltaCsr`] with delta words of type `T`, read
+/// through two cursors that decode them in place:
+/// [`DeltaStream::row_cursor`] along one row and
+/// [`DeltaStream::ahead_cursor`] along the flat nonzero stream. Only
+/// this module knows the encoding.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaStream<'a, T> {
+    rowptr: &'a [usize],
+    firstcol: &'a [u32],
+    deltas: &'a [T],
+    exceptions: &'a [u32],
+    exc_ptr: &'a [u32],
+    sentinel: u32,
+}
+
+impl<'a, T: Copy + Into<u32>> DeltaStream<'a, T> {
+    /// A cursor over the columns of row `i`, whose first nonzero is
+    /// `start`.
+    ///
+    /// # Safety
+    /// The matrix passed validation (the caller holds a
+    /// [`crate::Validated`] witness), `i < nrows` and
+    /// `start == rowptr[i]`.
+    #[inline(always)]
+    pub unsafe fn row_cursor(&self, i: usize, start: usize) -> DeltaRow<'a, T> {
+        // SAFETY: i < nrows, and a validated matrix has nrows + 1
+        // exception pointers, nrows first columns, and
+        // rowptr[i] <= nnz == deltas.len().
+        unsafe {
+            DeltaRow {
+                deltas: self.deltas.get_unchecked(start..),
+                exceptions: self.exceptions,
+                exc: *self.exc_ptr.get_unchecked(i) as usize,
+                col: *self.firstcol.get_unchecked(i),
+                sentinel: self.sentinel,
+            }
+        }
+    }
+
+    /// A cursor over the flat nonzero stream, positioned so that its
+    /// next read is position `pos` (the positions from `rowptr[row]`
+    /// up to `pos` are decoded on the way).
+    ///
+    /// # Safety
+    /// The matrix passed validation, `row < nrows` and
+    /// `rowptr[row] <= pos <= nnz`.
+    #[inline(always)]
+    pub unsafe fn ahead_cursor(&self, row: usize, pos: usize) -> DeltaAhead<'a, T> {
+        // SAFETY: row < nrows (caller's contract), so row + 1 indexes
+        // the validated row pointer.
+        let (start, end) =
+            unsafe { (*self.rowptr.get_unchecked(row), *self.rowptr.get_unchecked(row + 1)) };
+        // SAFETY: forwarded contract.
+        let cur = unsafe { self.row_cursor(row, start) };
+        let mut ahead = DeltaAhead { stream: *self, cur, row, start, end };
+        // SAFETY: the cursor stands at rowptr[row] <= pos <= nnz.
+        unsafe { ahead.decode_range(start..pos, |_| ()) };
+        ahead
+    }
+}
+
+/// Cursor over one row's columns ([`DeltaStream::row_cursor`]): the first
+/// column comes from `firstcol`, every later one adds the next delta,
+/// and a sentinel takes the next exception.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaRow<'a, T> {
+    /// The delta stream from the row's first slot on.
+    deltas: &'a [T],
+    exceptions: &'a [u32],
+    exc: usize,
+    col: u32,
+    sentinel: u32,
+}
+
+impl<T: Copy + Into<u32>> DeltaRow<'_, T> {
+    /// The column of the row's nonzero `k`.
+    ///
+    /// # Safety
+    /// Calls come with `k = 0, 1, 2, …` in turn, each below the row's
+    /// length.
+    #[inline(always)]
+    pub unsafe fn decode_at(&mut self, k: usize) -> usize {
+        // SAFETY: k is below the row's length, and the row's slots lie
+        // in the validated stream.
+        let d: u32 = unsafe { *self.deltas.get_unchecked(k) }.into();
+        self.col += if d == self.sentinel {
+            // SAFETY: validation replayed this exact decode and proved
+            // the exception cursor stays below exceptions.len() for
+            // every sentinel consumed.
+            let g = unsafe { *self.exceptions.get_unchecked(self.exc) };
+            self.exc += 1;
+            g
+        } else {
+            d
+        };
+        self.col as usize
+    }
+}
+
+/// Cursor over the flat nonzero stream ([`DeltaStream::ahead_cursor`]):
+/// a [`DeltaRow`] that moves on to the next row at each row end.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaAhead<'a, T> {
+    stream: DeltaStream<'a, T>,
+    cur: DeltaRow<'a, T>,
+    /// The row `cur` reads, and its nonzeros `start..end`.
+    row: usize,
+    start: usize,
+    end: usize,
+}
+
+impl<T: Copy + Into<u32>> DeltaAhead<'_, T> {
+    /// Calls `visit` with the column of each nonzero in `range` of the
+    /// flat stream, in order.
+    ///
+    /// # Safety
+    /// `range` starts where the cursor stands (its first position, or
+    /// the end of the previous range) and ends at most at `nnz`.
+    #[inline(always)]
+    pub unsafe fn decode_range(
+        &mut self,
+        range: std::ops::Range<usize>,
+        mut visit: impl FnMut(usize),
+    ) {
+        let mut p = range.start;
+        while p < range.end {
+            while p == self.end {
+                // p < nnz == rowptr[nrows], so a later row holds p.
+                self.row += 1;
+                self.start = self.end;
+                // SAFETY: row < nrows, as just argued.
+                unsafe {
+                    self.end = *self.stream.rowptr.get_unchecked(self.row + 1);
+                    self.cur = self.stream.row_cursor(self.row, self.start);
+                }
+            }
+            let stop = range.end.min(self.end);
+            for k in p - self.start..stop - self.start {
+                // SAFETY: start <= p <= k < stop <= end, read in order
+                // within the row.
+                visit(unsafe { self.cur.decode_at(k) });
+            }
+            p = stop;
         }
     }
 }
 
-/// Counts deltas that would escape at 8- and 16-bit widths.
-fn count_escapes(a: &Csr) -> (usize, usize) {
+/// Counts the deltas of `a` that would escape at 8- and 16-bit widths.
+pub fn count_escapes(a: &Csr) -> (usize, usize) {
     let mut n8 = 0;
     let mut n16 = 0;
     for (_, cols, _) in a.rows() {
@@ -618,22 +631,6 @@ mod tests {
                 assert!((u - v).abs() < 1e-12, "{u} vs {v}");
             }
         }
-    }
-
-    #[test]
-    fn spmv_rows_partial_range() {
-        let a = banded(32, 1);
-        let d = DeltaCsr::from_csr(&a).unwrap();
-        let x = vec![1.0; a.ncols()];
-        let mut y_full = vec![0.0; a.nrows()];
-        a.spmv(&x, &mut y_full);
-        let mut y = vec![0.0; a.nrows()];
-        d.spmv_rows(8..24, &x, &mut y);
-        for i in 8..24 {
-            assert_eq!(y[i], y_full[i]);
-        }
-        assert_eq!(y[0], 0.0);
-        assert_eq!(y[31], 0.0);
     }
 
     #[test]

@@ -263,8 +263,9 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             best = (v, gf);
         }
         println!(
-            "  {:<24} {:>8.2} GFLOP/s  (prep {:>7.2} ms)",
+            "  {:<24} {:<36} {:>8.2} GFLOP/s  (prep {:>7.2} ms)",
             v.to_string(),
+            built.config.id(),
             gf,
             built.prep_seconds * 1e3
         );

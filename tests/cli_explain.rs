@@ -1,6 +1,7 @@
 //! CLI-level coverage of `spmvtune explain`: the decision-trace
 //! renderer must show the thresholds, the measured ratios, and which
-//! rule fired, and must fail cleanly on bad input.
+//! rule fired, and must fail cleanly on bad input. Also covers what
+//! `spmvtune bench` reports each variant lowered to.
 
 use std::process::Command;
 
@@ -79,4 +80,33 @@ fn explain_rejects_unknown_machine() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown machine"), "{err}");
+}
+
+#[test]
+fn bench_prints_the_kernel_each_variant_lowered_to() {
+    let out = spmvtune(&["bench", "preset:consph:0.02"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    // Each variant line reads `label  config-id  GFLOP/s ...`.
+    let lowered: std::collections::HashMap<&str, &str> = text
+        .lines()
+        .filter(|l| l.contains("GFLOP/s  (prep"))
+        .map(|l| {
+            let mut words = l.split_whitespace();
+            (words.next().unwrap(), words.next().unwrap())
+        })
+        .collect();
+    assert_eq!(lowered.len(), 16, "{text}");
+    // Compression takes the row kernel of the other optimizations,
+    // and decomposition without long rows (a FEM matrix) is plain CSR.
+    for (variant, id) in [
+        ("baseline", "csr/scalar"),
+        ("comp", "delta/scalar"),
+        ("vec+comp", "delta/unrolled"),
+        ("pref+comp", "delta/prefetch"),
+        ("decomp", "csr/scalar"),
+        ("comp+auto", "delta/scalar@Guided"),
+    ] {
+        assert_eq!(lowered.get(variant), Some(&id), "{variant}:\n{text}");
+    }
 }
